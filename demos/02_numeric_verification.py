@@ -27,7 +27,7 @@ print("=== numeric extraction of the first two coefficients ===")
 exact = compute_expansion(2, precision=30)
 for j in (1, 2):
     est = extract_coefficient(j, ["0.1", "0.05", "0.025"])
-    target = exact.b[j].embed_real(30)
+    target = exact.b[j].embed(30)
     print(
         f"  b_{j}: extracted {mp.nstr(est.value, 10)}  exact {mp.nstr(target, 10)}"
         f"  (grid spread {est.disagreement:.2%})"

@@ -1,9 +1,10 @@
 """Exact-plus-numeric toolkit for a divergent q-series expansion at q -> 1.
 
 Modules:
-  field       exact arithmetic in Q(i, 5**(1/4)) and its subfields
+  field       exact arithmetic in Q(sqrt5)
   sequences   Eulerian/Bernoulli tables, negative-order polylogs, delta values
-  series      truncated formal series in t = sqrt(s) with v-polynomial coefficients
+  series      truncated formal series in t = sqrt(s) with coefficients polynomial
+              in the graded Gaussian variable w = i*v/5**(1/4)
   expansion   exact expansion coefficients b_j / c_j of the normalized remainder
   qseries     arbitrary-precision evaluation and numeric verification
   divergence  growth diagnostics quantifying why the expansion diverges
@@ -11,12 +12,11 @@ Modules:
   cli         batch command-line interface
 """
 
-from .field import FieldElem, SubfieldTag
+from .field import FieldElem
 from .expansion import ExpansionResult, compute_expansion, render_expansion
 
 __all__ = [
     "FieldElem",
-    "SubfieldTag",
     "ExpansionResult",
     "compute_expansion",
     "render_expansion",

@@ -216,10 +216,9 @@ def _cmd_tables(cfg: RunConfig) -> int:
     doc = {"schema_version": SCHEMA_VERSION, "kind": "tables", "max_n": cfg.max_n}
     want = ("delta", "bernoulli", "eulerian") if cfg.kind == "all" else (cfg.kind,)
     if "delta" in want:
-        table = polylog_delta_table(cfg.max_n)
         doc["delta"] = [
-            {"n": n, "exact": v.render(), "value": mp.nstr(v.embed_real(cfg.precision), cfg.precision)}
-            for n, v in enumerate(table.values)
+            {"n": n, "exact": v.render(), "value": mp.nstr(v.embed(cfg.precision), cfg.precision)}
+            for n, v in enumerate(polylog_delta_table(cfg.max_n))
         ]
     if "bernoulli" in want:
         table = bernoulli_numbers(cfg.max_n)

@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from .expansion import ExpansionResult
-from .sequences import bernoulli_poly_shifted, polylog_delta
+from .sequences import polylog_delta
 
 __all__ = [
     "normalized_polylog_delta",
@@ -48,7 +48,7 @@ def normalized_polylog_delta(n: int, digits: int = 50) -> mp.mpf:
     exact = polylog_delta(n)
     with mp.workdps(digits + 10):
         logphi = mp.log((1 + mp.sqrt(5)) / 2)
-        return exact.embed_real(digits + 10) * logphi ** (n + 1) / mp.factorial(n)
+        return exact.embed(digits + 10) * logphi ** (n + 1) / mp.factorial(n)
 
 
 def delta_residue_sum(n: int, digits: int = 30, max_m: int = 20000) -> mp.mpf:
@@ -167,11 +167,11 @@ def exponent_sum(N: int, s, v, digits: int = 50) -> mp.mpc:
         raise ValueError("N must be >= 2")
     with mp.workdps(digits + 10):
         smp = mp.mpf(s)
+        x = mp.mpc(mp.mpf(1) / 2, v)
         total = mp.mpc(0)
         for k in range(2, N + 1):
-            delta = polylog_delta(k - 1).embed_real(digits + 10)
-            bval = bernoulli_poly_shifted(k + 1).eval_embed(v, digits)
-            total += delta * smp ** k * bval / factorial(k + 1)
+            delta = polylog_delta(k - 1).embed(digits + 10)
+            total += delta * smp ** k * mp.bernpoly(k + 1, x) / factorial(k + 1)
         return total
 
 
@@ -249,7 +249,7 @@ def b_growth(result: ExpansionResult) -> GrowthSection:
     tail = roots[-4:]
     increasing = all(a < b for a, b in zip(tail, tail[1:]))
     with mp.workdps(40):
-        mags = [abs(x.embed_real(40)) for x in result.b]
+        mags = [abs(x.embed(40)) for x in result.b]
         ratios = [mags[j + 1] / mags[j] for j in range(1, result.max_order)]
     cross = None
     for idx in range(len(ratios)):

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 import mpmath as mp
 
-from .field import FieldElem, ONE, SubfieldTag
+from .field import FieldElem, ONE
 from .series import PuiseuxSeries, VPoly, damping_term, exponent_series, gaussian_integrate
 
 __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assembled_series"]
@@ -64,8 +63,6 @@ def _exact_coefficients(max_order: int):
                 if not val.is_zero():
                     raise ArithmeticError(f"odd power t^{m} integrated to a nonzero value")
                 continue
-            if not val.is_real() or val.subfield() > SubfieldTag.SQRT5:
-                raise ArithmeticError(f"coefficient b_{m//2} left the real Q(sqrt5) line")
             b.append(val)
         if b[0] != ONE:
             raise ArithmeticError("constant coefficient is not 1")
@@ -76,7 +73,7 @@ def _exact_coefficients(max_order: int):
         for j in range(1, max_order + 1):
             p = logser.coeff(2 * j)
             if p.degree > 0:
-                raise ArithmeticError("log series coefficient is not constant in v")
+                raise ArithmeticError("log series coefficient is not constant in w")
             c.append(p.coeff(0))
         _exact_cache[max_order] = (tuple(b), tuple(c))
     return _exact_cache[max_order]
@@ -90,8 +87,8 @@ def compute_expansion(max_order: int, precision: int = 30) -> ExpansionResult:
         raise ValueError("precision must be >= 1")
     b, c = _exact_coefficients(max_order)
     with mp.workdps(precision + 10):
-        b_num = [x.embed_real(precision) for x in b]
-        c_num = [x.embed_real(precision) for x in c]
+        b_num = [x.embed(precision) for x in b]
+        c_num = [x.embed(precision) for x in c]
         b_float = tuple(mp.nstr(x, precision) for x in b_num)
         c_float = tuple(mp.nstr(x, precision) for x in c_num)
         growth = tuple(
@@ -108,10 +105,6 @@ def compute_expansion(max_order: int, precision: int = 30) -> ExpansionResult:
     )
 
 
-def _sqrt5_coords(x: FieldElem) -> Tuple[Fraction, Fraction]:
-    return x.coords[0], x.coords[2]
-
-
 def render_expansion(result: ExpansionResult, fmt: str = "json") -> str:
     """Deterministic serialization; "json" and "csv" carry the same content."""
     if fmt == "json":
@@ -122,8 +115,8 @@ def render_expansion(result: ExpansionResult, fmt: str = "json") -> str:
             "b": [
                 {
                     "j": j,
-                    "p": str(_sqrt5_coords(x)[0]),
-                    "q": str(_sqrt5_coords(x)[1]),
+                    "p": str(x.p),
+                    "q": str(x.q),
                     "exact": x.render(),
                     "value": result.b_float[j],
                 }
@@ -132,8 +125,8 @@ def render_expansion(result: ExpansionResult, fmt: str = "json") -> str:
             "c": [
                 {
                     "j": j + 1,
-                    "p": str(_sqrt5_coords(x)[0]),
-                    "q": str(_sqrt5_coords(x)[1]),
+                    "p": str(x.p),
+                    "q": str(x.q),
                     "exact": x.render(),
                     "value": result.c_float[j],
                 }
@@ -147,11 +140,9 @@ def render_expansion(result: ExpansionResult, fmt: str = "json") -> str:
     if fmt == "csv":
         lines = ["series,j,p,q,value"]
         for j, x in enumerate(result.b):
-            p, q = _sqrt5_coords(x)
-            lines.append(f"b,{j},{p},{q},{result.b_float[j]}")
+            lines.append(f"b,{j},{x.p},{x.q},{result.b_float[j]}")
         for j, x in enumerate(result.c):
-            p, q = _sqrt5_coords(x)
-            lines.append(f"c,{j + 1},{p},{q},{result.c_float[j]}")
+            lines.append(f"c,{j + 1},{x.p},{x.q},{result.c_float[j]}")
         for j, r in enumerate(result.growth):
             lines.append(f"growth,{j + 1},,,{r!r}")
         return "\n".join(lines) + "\n"

@@ -1,12 +1,10 @@
-"""Exact arithmetic in the degree-8 number field Q(i, 5**(1/4)).
+"""Exact arithmetic in the real quadratic field Q(sqrt5).
 
-Elements are rational linear combinations of the eight basis monomials
-``d**a * i**b`` (0 <= a <= 3, b in {0, 1}), where ``d`` is the positive
-real fourth root of 5 and ``i`` the imaginary unit.  The relations
-d**4 = 5 and i**2 = -1 are applied during multiplication and never
-stored.  The field hosts every exact constant used by the expansion:
-sqrt(5) = d**2, the golden ratio phi = (1 + d**2)/2 (phi**2 = phi + 1),
-the scaling 5**(-1/4) = d**3/5, and the imaginary unit itself.
+An element p + q*sqrt5 is stored as its two reduced rational coordinates.
+The field hosts every exact value of the package: the golden ratio
+phi = (1 + sqrt5)/2 (phi**2 = phi + 1), the polylog delta values, the
+series coefficients in the graded variable w of `unclosed.series`, and the
+expansion coefficients b_j and c_j.
 
 Elements are immutable and all operations are pure, so values can be
 shared freely across threads.
@@ -14,88 +12,27 @@ shared freely across threads.
 
 from __future__ import annotations
 
-from enum import IntEnum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import mpmath as mp
 
-__all__ = [
-    "BASIS_NAMES",
-    "SubfieldTag",
-    "FieldElem",
-    "ZERO",
-    "ONE",
-    "I_UNIT",
-    "D_ROOT",
-    "INV_D",
-    "SQRT5",
-    "PHI",
-    "PHI_INV",
-    "MINUS_PHI",
-]
-
-BASIS_NAMES = ("1", "d", "d2", "d3", "i", "id", "id2", "id3")
+__all__ = ["FieldElem", "ZERO", "ONE", "SQRT5", "PHI", "PHI_INV", "MINUS_PHI"]
 
 Scalar = Union[int, Fraction]
 
 
-class SubfieldTag(IntEnum):
-    """Smallest declared subfield containing an element: Q < Q(sqrt5) < full field."""
-
-    RATIONAL = 0
-    SQRT5 = 1
-    FULL = 2
-
-
-def _build_mul_table() -> list:
-    # entry [i1][i2] = (target index, integer scale) for basis monomial products
-    table = [[(0, 0)] * 8 for _ in range(8)]
-    for a1 in range(4):
-        for b1 in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    a, b = a1 + a2, b1 + b2
-                    scale = 5 ** (a // 4)
-                    a %= 4
-                    if b >= 2:
-                        scale = -scale
-                        b -= 2
-                    table[a1 + 4 * b1][a2 + 4 * b2] = (a + 4 * b, scale)
-    return table
-
-
-_MUL = _build_mul_table()
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 class FieldElem:
-    """One element of Q(i, 5**(1/4)), stored as 8 reduced rational coordinates."""
+    """One element p + q*sqrt5 of Q(sqrt5), with rational p and q."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("p", "q")
 
-    def __init__(self, coords: Sequence[Scalar]):
-        if len(coords) != 8:
-            raise ValueError("need exactly 8 coordinates")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+    def __init__(self, p: Scalar = 0, q: Scalar = 0):
+        object.__setattr__(self, "p", Fraction(p))
+        object.__setattr__(self, "q", Fraction(q))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FieldElem is immutable")
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value: Scalar) -> "FieldElem":
-        return cls((Fraction(value), _F0, _F0, _F0, _F0, _F0, _F0, _F0))
-
-    @classmethod
-    def basis(cls, index: int) -> "FieldElem":
-        coords = [_F0] * 8
-        coords[index] = _F1
-        return cls(coords)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -104,40 +41,29 @@ class FieldElem:
     def __add__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return FieldElem([a + b for a, b in zip(self.coords, other.coords)])
+        return FieldElem(self.p + other.p, self.q + other.q)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return FieldElem([a - b for a, b in zip(self.coords, other.coords)])
+        return FieldElem(self.p - other.p, self.q - other.q)
 
     def __neg__(self):
-        return FieldElem([-a for a in self.coords])
+        return FieldElem(-self.p, -self.q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return FieldElem([a * f for a in self.coords])
+            return FieldElem(self.p * other, self.q * other)
         if not isinstance(other, FieldElem):
             return NotImplemented
-        out = [_F0] * 8
-        for i1, c1 in enumerate(self.coords):
-            if not c1:
-                continue
-            row = _MUL[i1]
-            for i2, c2 in enumerate(other.coords):
-                if not c2:
-                    continue
-                tgt, scale = row[i2]
-                out[tgt] += c1 * c2 * scale
-        return FieldElem(out)
+        a, b, c, d = self.p, self.q, other.p, other.q
+        return FieldElem(a * c + 5 * b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return FieldElem([a / f for a in self.coords])
+            return FieldElem(self.p / other, self.q / other)
         if not isinstance(other, FieldElem):
             return NotImplemented
         return self * other.inverse()
@@ -160,141 +86,53 @@ class FieldElem:
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.coords == other.coords
+        return self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.p, self.q))
 
     def __bool__(self):
-        return any(self.coords)
+        return bool(self.p or self.q)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def is_real(self) -> bool:
-        """True when all coordinates on the i-carrying basis monomials vanish."""
-        return not any(self.coords[4:])
-
-    # ------------------------------------------------------------------
-    # inversion via Galois conjugates
-    # ------------------------------------------------------------------
-
-    def _conjugate(self, j: int, e: int) -> "FieldElem":
-        # automorphism d -> i**j * d, i -> (-1)**e * i, acting on basis monomials
-        out = [_F0] * 8
-        for idx, c in enumerate(self.coords):
-            if not c:
-                continue
-            a, b = idx % 4, idx // 4
-            t = (j * a + 2 * e * b + b) % 4
-            sign = -1 if t >= 2 else 1
-            out[a + 4 * (t % 2)] += c * sign
-        return FieldElem(out)
+        return not (self.p or self.q)
 
     def inverse(self) -> "FieldElem":
-        """Exact multiplicative inverse, from the product of Galois conjugates.
-
-        The product of an element with its 7 nontrivial conjugates is the
-        (rational, nonzero) field norm, so dividing that product by the norm
-        gives the inverse without any linear algebra.
-        """
+        """(p - q*sqrt5) / (p**2 - 5 q**2); the norm is nonzero since sqrt5 is irrational."""
         if self.is_zero():
             raise ZeroDivisionError("0 has no inverse in the field")
-        prod = ONE
-        for j in range(4):
-            for e in range(2):
-                if j == 0 and e == 0:
-                    continue
-                prod = prod * self._conjugate(j, e)
-        norm = self * prod
-        if any(norm.coords[1:]):
-            raise ArithmeticError("conjugate product is not rational")
-        return prod * (_F1 / norm.coords[0])
+        norm = self.p * self.p - 5 * self.q * self.q
+        return FieldElem(self.p / norm, -self.q / norm)
 
     # ------------------------------------------------------------------
-    # numeric embedding and classification
+    # numeric value and rendering
     # ------------------------------------------------------------------
 
-    def embed(self, digits: int = 30) -> mp.mpc:
-        """Complex value with d = positive real 5**(1/4), good to `digits` digits."""
+    def embed(self, digits: int = 30) -> mp.mpf:
+        """Real value with sqrt5 > 0, good to `digits` digits."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         with mp.workdps(digits + 10):
-            d = mp.root(5, 4)
-            dp = (mp.mpf(1), d, d * d, d * d * d)
-            re = mp.mpf(0)
-            im = mp.mpf(0)
-            for a in range(4):
-                c = self.coords[a]
-                if c:
-                    re += mp.mpf(c.numerator) / c.denominator * dp[a]
-                c = self.coords[a + 4]
-                if c:
-                    im += mp.mpf(c.numerator) / c.denominator * dp[a]
-            return mp.mpc(re, im)
-
-    def embed_real(self, digits: int = 30) -> mp.mpf:
-        """Real embedding; raises if any imaginary coordinate is (exactly) nonzero."""
-        if not self.is_real():
-            raise ValueError("element has nonzero imaginary coordinates")
-        return self.embed(digits).real
-
-    def subfield(self) -> SubfieldTag:
-        """Smallest tag consistent with the nonzero coordinates."""
-        nz = [i for i, c in enumerate(self.coords) if c]
-        if all(i == 0 for i in nz):
-            return SubfieldTag.RATIONAL
-        if all(i in (0, 2) for i in nz):
-            return SubfieldTag.SQRT5
-        return SubfieldTag.FULL
-
-    # ------------------------------------------------------------------
-    # rendering and serialization
-    # ------------------------------------------------------------------
+            value = mp.mpf(self.p.numerator) / self.p.denominator
+            if self.q:
+                value += mp.mpf(self.q.numerator) / self.q.denominator * mp.sqrt(5)
+            return value
 
     def render(self) -> str:
-        """Human-readable form: "p + q*sqrt5" inside Q(sqrt5), coordinates otherwise."""
-        tag = self.subfield()
-        if tag == SubfieldTag.RATIONAL:
-            return str(self.coords[0])
-        if tag == SubfieldTag.SQRT5:
-            p, q = self.coords[0], self.coords[2]
-            sign = "+" if q >= 0 else "-"
-            return f"{p} {sign} {abs(q)}*sqrt5"
-        parts = []
-        for name, c in zip(BASIS_NAMES, self.coords):
-            if not c:
-                continue
-            parts.append(f"{c}*{name}" if name != "1" else str(c))
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        """JSON form: basis names plus decimal-string numerator/denominator pairs."""
-        return {
-            "basis": list(BASIS_NAMES),
-            "coords": [[str(c.numerator), str(c.denominator)] for c in self.coords],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldElem":
-        if tuple(obj.get("basis", ())) != BASIS_NAMES:
-            raise ValueError("unexpected basis in serialized element")
-        coords = [Fraction(int(n), int(d)) for n, d in obj["coords"]]
-        return cls(coords)
+        """Human-readable form: "p" for a rational, "p + q*sqrt5" otherwise."""
+        if not self.q:
+            return str(self.p)
+        sign = "+" if self.q >= 0 else "-"
+        return f"{self.p} {sign} {abs(self.q)}*sqrt5"
 
     def __repr__(self):
         return f"FieldElem({self.render()})"
 
 
-ZERO = FieldElem([0] * 8)
-ONE = FieldElem.from_rational(1)
-D_ROOT = FieldElem.basis(1)
-SQRT5 = FieldElem.basis(2)
-I_UNIT = FieldElem.basis(4)
+ZERO = FieldElem()
+ONE = FieldElem(1)
+SQRT5 = FieldElem(0, 1)
 
-# 5**(-1/4) = d**3 / 5
-INV_D = D_ROOT ** 3 * Fraction(1, 5)
-
-PHI = (ONE + SQRT5) * Fraction(1, 2)
+PHI = FieldElem(Fraction(1, 2), Fraction(1, 2))
 PHI_INV = PHI - ONE
 MINUS_PHI = -PHI

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import mpmath as mp
 
 from .field import FieldElem, MINUS_PHI, PHI_INV
-from .sequences import bernoulli_poly_shifted, polylog_neg
+from .sequences import polylog_neg
 
 __all__ = [
     "PrecisionContext",
@@ -39,8 +39,6 @@ __all__ = [
     "normalized_remainder",
     "eval_report",
     "extract_coefficient",
-    "li1",
-    "dilog",
     "log_pochhammer_inf",
     "log_poch_check",
     "minor_arc_check",
@@ -191,7 +189,7 @@ def eval_report(s, order: int = 2, ctx: Optional[PrecisionContext] = None) -> Ev
         result = compute_expansion(order, precision=min(ctx.digits, 60))
         asym = mp.mpf(1)
         for j in range(1, order + 1):
-            asym += result.b[j].embed_real(ctx.digits) * smp ** j
+            asym += result.b[j].embed(ctx.digits) * smp ** j
         abs_err = abs(remainder - asym)
         rel_err = abs_err / abs(remainder)
     return EvalReport(
@@ -238,7 +236,7 @@ def extract_coefficient(
     lower: List[mp.mpf] = [mp.mpf(1)]
     if j >= 2:
         result = compute_expansion(j - 1, precision=min(ctx.digits, 60))
-        lower += [x.embed_real(ctx.digits) for x in result.b[1:]]
+        lower += [x.embed(ctx.digits) for x in result.b[1:]]
     svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     ests = []
     with mp.workdps(ctx.digits + ctx.guard):
@@ -266,46 +264,6 @@ def extract_coefficient(
         disagreement=disagreement,
         consistent=consistent,
     )
-
-
-# ----------------------------------------------------------------------
-# dilogarithm / logarithm values at the two golden-ratio arguments
-# ----------------------------------------------------------------------
-
-
-def li1(x, digits: int = 30) -> mp.mpf:
-    """Li_1(x) = -log(1 - x) for real x < 1."""
-    with mp.workdps(digits + 10):
-        xv = mp.mpf(x)
-        if xv >= 1:
-            raise ValueError("need x < 1")
-        return -mp.log(1 - xv)
-
-
-def dilog(x, digits: int = 30) -> mp.mpf:
-    """Li_2(x) for real x < 1, by the defining series plus inversion for x < -1.
-
-    Series on [-1, 1); for x < -1 uses
-    Li_2(x) = -pi**2/6 - log(-x)**2 / 2 - Li_2(1/x).
-    """
-    with mp.workdps(digits + 15):
-        xv = mp.mpf(x)
-        if xv >= 1:
-            raise ValueError("need x < 1")
-        if xv < -1:
-            return -mp.pi ** 2 / 6 - mp.log(-xv) ** 2 / 2 - dilog(1 / xv, digits)
-        total = mp.mpf(0)
-        power = mp.mpf(1)
-        tiny = mp.mpf(10) ** (-(digits + 12))
-        n = 0
-        while True:
-            n += 1
-            power *= xv
-            term = power / (n * n)
-            total += term
-            if abs(term) < tiny:
-                break
-        return total
 
 
 def log_pochhammer_inf(prefactor, q, digits: int = 40) -> mp.mpc:
@@ -353,8 +311,8 @@ def log_poch_check(
     """Compare log((w e^{-s(1/2 + sign*i*v)}; e^{-s})_inf) with its truncation.
 
     The truncation keeps orders k = -1..N: the k = -1 and k = 0 terms need
-    numeric Li_2(w) and Li_1(w); every k >= 1 uses the exact rational
-    polylog values.  Expected error decay is s**(N+1) at fixed v.
+    numeric Li_2(w) and Li_1(w) = -log(1 - w); every k >= 1 uses the exact
+    rational polylog values.  Expected error decay is s**(N+1) at fixed v.
     """
     if w == PHI_INV:
         label = "1/phi"
@@ -370,14 +328,15 @@ def log_poch_check(
         raise ValueError("s grid must lie in (0, 0.2] for the truncation to be meaningful")
     dps = ctx.digits
     with mp.workdps(dps + 10):
-        wn = w.embed_real(dps)
-        li2_w = dilog(wn, dps)
-        li1_w = li1(wn, dps)
-        exact_terms = []
-        for k in range(1, N + 1):
-            xv = polylog_neg(k - 1, w).embed_real(dps)
-            bpoly = bernoulli_poly_shifted(k + 1)
-            exact_terms.append((k, xv, bpoly))
+        wn = w.embed(dps)
+        li2_w = mp.polylog(2, wn)
+        li1_w = -mp.log1p(-wn)
+        # B_{k+1}(1/2 + i*sign*v) does not depend on s
+        x = mp.mpc(mp.mpf(1) / 2, sign * v)
+        exact_terms = [
+            (k, polylog_neg(k - 1, w).embed(dps), mp.bernpoly(k + 1, x))
+            for k in range(1, N + 1)
+        ]
         rows = []
         for s in s_grid:
             smp = mp.mpf(s)
@@ -385,8 +344,7 @@ def log_poch_check(
             pref = wn * mp.exp(-smp * (mp.mpf(1) / 2 + sign * mp.mpc(0, 1) * v))
             direct = log_pochhammer_inf(pref, qv, dps)
             trunc = -li2_w / smp + li1_w * sign * mp.mpc(0, 1) * v
-            for k, xv, bpoly in exact_terms:
-                bval = bpoly.eval_embed(sign * v, dps)
+            for k, xv, bval in exact_terms:
                 trunc += xv * (-smp) ** k * bval / factorial(k + 1)
             rows.append(
                 LogPochRow(
@@ -436,7 +394,7 @@ def minor_arc_check(
     dps = ctx.digits
     rows = []
     with mp.workdps(dps + 10):
-        phi = PHI_INV.inverse().embed_real(dps)
+        phi = PHI_INV.inverse().embed(dps)
         for s in s_values:
             smp = mp.mpf(s)
             qv = mp.exp(-smp)

@@ -1,8 +1,8 @@
 """Exact integer and rational sequences feeding the expansion.
 
-Covers Eulerian numbers, Bernoulli numbers (first convention, B_1 = -1/2),
-shifted Bernoulli polynomials, negative-order polylogarithms as exact
-rational functions, and the combination
+Covers Eulerian numbers, Bernoulli numbers (first convention, B_1 = -1/2)
+and their values at 1/2, negative-order polylogarithms as exact rational
+functions, and the combination
 
     polylog_delta(n) = Li_{-n}(1/phi) - (-1)**n * Li_{-n}(-phi)
 
@@ -17,25 +17,20 @@ from fractions import Fraction
 from math import comb
 from typing import Tuple
 
-import mpmath as mp
-
-from .field import FieldElem, MINUS_PHI, ONE, PHI_INV, SubfieldTag
+from .field import FieldElem, MINUS_PHI, ONE, PHI_INV, ZERO
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "EulerianTriangle",
     "BernoulliTable",
-    "ENTable",
     "eulerian_row",
     "eulerian_triangle",
     "bernoulli_number",
     "bernoulli_numbers",
     "bernoulli_half",
-    "bernoulli_poly_shifted",
     "polylog_neg",
     "polylog_delta",
     "polylog_delta_table",
-    "pi_squared_over_5",
 ]
 
 # Orders beyond this are refused by the table constructors; the expansion
@@ -55,18 +50,6 @@ class BernoulliTable:
     """Bernoulli numbers B_0..B_N with the B_1 = -1/2 convention."""
 
     values: Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class ENTable:
-    """polylog_delta(0..N); every entry lies in Q(sqrt5) (checked on build)."""
-
-    values: Tuple[FieldElem, ...]
-
-    def __post_init__(self):
-        for n, v in enumerate(self.values):
-            if v.subfield() > SubfieldTag.SQRT5:
-                raise ArithmeticError(f"entry {n} left Q(sqrt5)")
 
 
 _eulerian_rows: list = [(1,)]
@@ -124,24 +107,6 @@ def bernoulli_half(n: int) -> Fraction:
     return (Fraction(2) ** (1 - n) - 1) * bernoulli_number(n)
 
 
-def bernoulli_poly_shifted(n: int):
-    """B_n(1/2 + i*v) as a polynomial in v with coefficients in Q(i, 5**(1/4)).
-
-    The v**j coefficient is C(n, j) * B_{n-j}(1/2) * i**j.
-    """
-    from .series import VPoly  # deferred: series builds on this module
-    from .field import I_UNIT, ZERO
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    i_pow = [ONE, I_UNIT, -ONE, -I_UNIT]
-    coeffs = []
-    for j in range(n + 1):
-        c = comb(n, j) * bernoulli_half(n - j)
-        coeffs.append(i_pow[j % 4] * c if c else ZERO)
-    return VPoly(coeffs)
-
-
 def polylog_neg(n: int, w: FieldElem) -> FieldElem:
     """Li_{-n}(w) as an exact field element, n >= 0.
 
@@ -155,7 +120,7 @@ def polylog_neg(n: int, w: FieldElem) -> FieldElem:
     one_minus_w_inv = (ONE - w).inverse()
     if n == 0:
         return w * one_minus_w_inv
-    num = w * 0
+    num = ZERO
     wp = w
     for a in eulerian_row(n):
         num = num + wp * a
@@ -176,14 +141,9 @@ def polylog_delta(n: int) -> FieldElem:
     return _delta_values[n]
 
 
-def polylog_delta_table(max_order: int = DEFAULT_MAX_ORDER) -> ENTable:
+def polylog_delta_table(max_order: int = DEFAULT_MAX_ORDER) -> Tuple[FieldElem, ...]:
+    """polylog_delta(0..max_order)."""
     if not 0 <= max_order <= DEFAULT_MAX_ORDER:
         raise ValueError(f"max_order must be in [0, {DEFAULT_MAX_ORDER}]")
     polylog_delta(max_order)
-    return ENTable(values=tuple(_delta_values[: max_order + 1]))
-
-
-def pi_squared_over_5(digits: int = 30) -> mp.mpf:
-    """The transcendental index -2 analogue of polylog_delta, pi**2/5."""
-    with mp.workdps(digits + 10):
-        return mp.pi ** 2 / 5
+    return tuple(_delta_values[: max_order + 1])

@@ -1,12 +1,20 @@
-"""Truncated formal series in t = sqrt(s) with polynomial-in-v coefficients.
+"""Truncated formal series in t = sqrt(s) with polynomial-in-w coefficients.
 
-`VPoly` is a dense polynomial in the Gaussian integration variable v over
-Q(i, 5**(1/4)).  `PuiseuxSeries` maps integer powers of t to VPoly values
-up to a fixed truncation order; arithmetic never reads past the truncation.
-`exponent_series` assembles the saddle-point exponent of the normalized
-remainder: each degree-(k+1) shifted Bernoulli polynomial enters at base
-power t**(2k), and its v**j monomial is pushed down to t**(2k-j) carrying
-the substitution scale (i * 5**(-1/4))**j.
+The saddle-point exponent of the normalized remainder is a series in t and
+the standard Gaussian variable v, whose t**m v**j coefficient is an element
+of Q(sqrt5) times (i * 5**(-1/4))**j.  The graded variable
+
+    w = i * v / 5**(1/4)
+
+absorbs that factor, so every coefficient in w lies in Q(sqrt5).  Products,
+exp and log keep the grading, and Gaussian integration becomes
+E[w**(2m)] = (-1/sqrt5)**m * (2m-1)!! with odd powers giving 0.
+
+`VPoly` is a dense polynomial in w over Q(sqrt5).  `PuiseuxSeries` maps
+integer powers of t to VPoly values up to a fixed truncation order;
+arithmetic never reads past the truncation.  `exponent_series` assembles
+the exponent: each degree-(k+1) shifted Bernoulli polynomial enters at base
+power t**(2k), and its w**j monomial is pushed down to t**(2k-j).
 
 Everything here is exact; zero coefficients are detected by exact equality.
 """
@@ -19,17 +27,10 @@ from typing import Dict, Mapping, Sequence, Union
 
 import mpmath as mp
 
-from .field import FieldElem, INV_D, I_UNIT, ONE, SQRT5, ZERO
+from .field import FieldElem, ONE, SQRT5, ZERO
 from .sequences import bernoulli_half, polylog_delta
 
-__all__ = [
-    "VPoly",
-    "PuiseuxSeries",
-    "GaussianMoments",
-    "gaussian_moments",
-    "gaussian_integrate",
-    "exponent_series",
-]
+__all__ = ["VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series"]
 
 ScalarLike = Union[int, Fraction, FieldElem]
 
@@ -37,11 +38,11 @@ ScalarLike = Union[int, Fraction, FieldElem]
 def _as_field(value: ScalarLike) -> FieldElem:
     if isinstance(value, FieldElem):
         return value
-    return FieldElem.from_rational(value)
+    return FieldElem(value)
 
 
 class VPoly:
-    """Dense polynomial in v with FieldElem coefficients, trailing zeros trimmed."""
+    """Dense polynomial in w with FieldElem coefficients, trailing zeros trimmed."""
 
     __slots__ = ("coeffs",)
 
@@ -119,18 +120,18 @@ class VPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def eval_embed(self, v, digits: int = 30) -> mp.mpc:
-        """Numeric value at v (real or complex), Horner form."""
+    def eval_embed(self, w, digits: int = 30) -> mp.mpc:
+        """Numeric value at w (real or complex), Horner form."""
         with mp.workdps(digits + 10):
             acc = mp.mpc(0)
             for c in reversed(self.coeffs):
-                acc = acc * v + c.embed(digits)
+                acc = acc * w + c.embed(digits)
             return acc
 
     def __repr__(self):
         if self.is_zero():
             return "VPoly(0)"
-        parts = [f"({c.render()})*v^{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()]
+        parts = [f"({c.render()})*w^{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()]
         return "VPoly(" + " + ".join(parts) + ")"
 
 
@@ -261,25 +262,14 @@ class PuiseuxSeries:
                 out[m] = acc.scale(Fraction(1, m))
         return PuiseuxSeries(self.trunc_order, out)
 
-    def eval_embed(self, t, v, digits: int = 30) -> mp.mpc:
-        """Numeric value at concrete t and v."""
+    def eval_embed(self, t, w, digits: int = 30) -> mp.mpc:
+        """Numeric value at concrete t and w."""
         with mp.workdps(digits + 10):
             t = mp.mpmathify(t)
             acc = mp.mpc(0)
             for m in self.powers():
-                acc += self.terms[m].eval_embed(v, digits) * t ** m
+                acc += self.terms[m].eval_embed(w, digits) * t ** m
             return acc
-
-    def to_debug_json(self) -> dict:
-        """Debug dump: {"t^m": [[coords of v^0], [coords of v^1], ...]}."""
-        out = {}
-        for m in self.powers():
-            p = self.terms[m]
-            out[f"t^{m}"] = [
-                [str(c.numerator) + "/" + str(c.denominator) for c in coeff.coords]
-                for coeff in p.coeffs
-            ]
-        return out
 
     def __repr__(self):
         body = ", ".join(f"t^{m}: {self.terms[m]!r}" for m in self.powers())
@@ -291,39 +281,21 @@ class PuiseuxSeries:
 # ----------------------------------------------------------------------
 
 
-class GaussianMoments:
-    """Standardized even Gaussian moments: entry m holds (2m-1)!!."""
-
-    __slots__ = ("moments",)
-
-    def __init__(self, max_m: int):
-        vals = [Fraction(1)]
-        for m in range(1, max_m + 1):
-            vals.append(vals[-1] * (2 * m - 1))
-        object.__setattr__(self, "moments", tuple(vals))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("GaussianMoments is immutable")
+_moment_cache: list = [ONE]
+_W2 = FieldElem(0, Fraction(-1, 5))  # w**2 = -v**2/sqrt5
 
 
-_moment_cache: list = [Fraction(1)]
-
-
-def gaussian_moments(max_m: int) -> GaussianMoments:
-    return GaussianMoments(max_m)
-
-
-def _even_moment(j: int) -> Fraction:
-    # (j-1)!! for even j, via the cached recurrence
+def _even_moment(j: int) -> FieldElem:
+    # E[w**j] = (-1/sqrt5)**(j/2) * (j-1)!! for even j, via the cached recurrence
     m = j // 2
     while len(_moment_cache) <= m:
         k = len(_moment_cache)
-        _moment_cache.append(_moment_cache[-1] * (2 * k - 1))
+        _moment_cache.append(_moment_cache[-1] * _W2 * (2 * k - 1))
     return _moment_cache[m]
 
 
 def gaussian_integrate(p: VPoly) -> FieldElem:
-    """Mean of p(v) against the standard Gaussian: v**(2m) -> (2m-1)!!, odd -> 0."""
+    """Mean of p(w) over standard Gaussian v: w**(2m) -> (-1/sqrt5)**m (2m-1)!!, odd -> 0."""
     total = ZERO
     for j, c in enumerate(p.coeffs):
         if j % 2 or c.is_zero():
@@ -340,22 +312,18 @@ def gaussian_integrate(p: VPoly) -> FieldElem:
 def exponent_series(max_index: int, trunc_order: int) -> PuiseuxSeries:
     """Exponent series in t = sqrt(s) after the Gaussian substitution.
 
-    Summand k (2 <= k <= max_index) contributes, for each monomial v**j of
+    Summand k (2 <= k <= max_index) contributes, for each monomial w**j of
     the degree-(k+1) Bernoulli polynomial shifted to 1/2,
 
-        polylog_delta(k-1)/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2)
-            * (i * 5**(-1/4))**j * v**j * t**(2k-j).
+        polylog_delta(k-1)/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2) * w**j * t**(2k-j),
+
+    which lies in Q(sqrt5) because w = i * v / 5**(1/4) carries the scale.
 
     The lowest power produced by summand k is t**(k-1), so the result has
     strictly positive valuation and can be fed to `PuiseuxSeries.exp`.
     """
     if max_index < 2:
         raise ValueError("max_index must be >= 2")
-    base = I_UNIT * INV_D
-    scale_pow = [ONE]
-    for _ in range(max_index + 1):
-        scale_pow.append(scale_pow[-1] * base)
-
     rows: Dict[int, Dict[int, FieldElem]] = {}
     for k in range(2, max_index + 1):
         ck = polylog_delta(k - 1) * Fraction(1, factorial(k + 1))
@@ -363,14 +331,11 @@ def exponent_series(max_index: int, trunc_order: int) -> PuiseuxSeries:
             m = 2 * k - j
             if m > trunc_order:
                 continue
-            if m < 0:
-                raise ArithmeticError("negative power in exponent assembly")
             bh = comb(k + 1, j) * bernoulli_half(k + 1 - j)
             if not bh:
                 continue
-            contrib = ck * scale_pow[j] * bh
             row = rows.setdefault(m, {})
-            row[j] = row.get(j, ZERO) + contrib
+            row[j] = row.get(j, ZERO) + ck * bh
 
     terms: Dict[int, VPoly] = {}
     for m, row in rows.items():

@@ -8,6 +8,11 @@ are pinned inside unclosed.suites.
 
 import time
 
+import pytest
+
+from unclosed import expansion, series, suites
+from unclosed.field import ONE
+from unclosed.series import PuiseuxSeries, VPoly
 from unclosed.suites import run_suite
 
 
@@ -61,6 +66,30 @@ def test_ac09_partial_exponential_limit():
 
 def test_ac10_parity_reality():
     check("AC-10", "parity")
+
+
+def test_ac10_fails_on_wrong_moment_sign(monkeypatch):
+    # E[w**2] = +1/sqrt5 instead of -1/sqrt5 changes the exact b_j but not
+    # the ungraded numeric route, so AC-10 must fail
+    monkeypatch.setattr(series, "_W2", -series._W2)
+    monkeypatch.setattr(series, "_moment_cache", [ONE])
+    monkeypatch.setattr(expansion, "_exact_cache", {})
+    result = run_suite("parity")
+    assert not result.ok
+    assert result.details == [
+        {"odd_vanish": True, "all_real": True, "all_in_sqrt5_field": False}
+    ]
+
+
+@pytest.mark.parametrize("power, degree, key", [(1, 0, "odd_vanish"), (2, 1, "all_real")])
+def test_ac10_fails_on_broken_grading(monkeypatch, power, degree, key):
+    # a w**degree term on t**power breaks "w-degree = t-power mod 2"
+    good = suites.assembled_series(suites.DIVERGENCE_ORDER)
+    bad = good + PuiseuxSeries(good.trunc_order, {power: VPoly.monomial(degree)})
+    monkeypatch.setattr(suites, "assembled_series", lambda order: bad)
+    result = run_suite("parity")
+    assert not result.ok
+    assert [k for k, ok in result.details[0].items() if not ok] == [key]
 
 
 def test_extra_minor_arc_bound():

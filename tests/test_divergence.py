@@ -44,7 +44,7 @@ def test_scaled_delta_errors_decay_geometrically():
 
 def test_pole_sum_cross_check():
     approx = delta_residue_sum(5, digits=30, max_m=20000)
-    exact = polylog_delta(5).embed_real(40)
+    exact = polylog_delta(5).embed(40)
     with mp.workdps(40):
         assert abs(approx - exact) < mp.mpf("1e-20")
     with pytest.raises(ValueError):
@@ -95,8 +95,8 @@ def test_symmetrized_partial_exp_cosh_sinh():
 
 
 def test_exponent_sum_matches_series_assembly():
-    # same object two ways: direct numeric summation vs. the exact series
-    # evaluated after undoing the substitution scale
+    # same object two ways: direct numeric summation at 1/2 + i v vs. the
+    # exact series in w = i v' / 5**(1/4), where v' = 5**(1/4) t v
     from unclosed.series import exponent_series
 
     N = 7
@@ -106,7 +106,7 @@ def test_exponent_sum_matches_series_assembly():
         v = mp.mpf("0.4")
         direct = exponent_sum(N, s, v, 45)
         ser = exponent_series(N, 2 * N)
-        assembled = ser.eval_embed(t, mp.root(5, 4) * t * v, 45)
+        assembled = ser.eval_embed(t, mp.mpc(0, 1) * t * v, 45)
         assert abs(direct - assembled) < mp.mpf("1e-30") * (1 + abs(direct))
 
 

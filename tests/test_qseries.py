@@ -9,11 +9,9 @@ from unclosed.qseries import (
     PrecisionContext,
     PrecisionError,
     constant_term_check,
-    dilog,
     eval_report,
     extract_coefficient,
     f_direct,
-    li1,
     log_poch_check,
     log_pochhammer_inf,
     minor_arc_check,
@@ -112,7 +110,7 @@ def test_remainder_tends_to_one():
         errs = [abs(vals[s] - 1) for s in ("0.2", "0.1", "0.05")]
         assert errs[0] > errs[1] > errs[2]
         # leading-order dominance at s = 0.1
-        b1 = SQRT5.embed_real(40) / 40
+        b1 = SQRT5.embed(40) / 40
         assert abs((vals["0.1"] - 1) / (b1 * mp.mpf("0.1")) - 1) < 0.3
 
 
@@ -145,7 +143,7 @@ def test_extract_coefficient_residual_scaling():
         R = normalized_remainder(s, ctx)
         with mp.workdps(90):
             smp = mp.mpf(s)
-            b1 = SQRT5.embed_real(60) / 40
+            b1 = SQRT5.embed(60) / 40
             r2.append(abs(R - 1 - b1 * smp))
     ratio2 = float(r2[0] / r2[1])
     assert 2.0 < ratio2 < 8.0  # ~4 for an s^2 residual under halving
@@ -159,7 +157,7 @@ def test_residual_order_property_through_j3():
     exact = compute_expansion(3, precision=40)
     ctx = PrecisionContext(digits=100)
     with mp.workdps(110):
-        bnum = [x.embed_real(80) for x in exact.b]
+        bnum = [x.embed(80) for x in exact.b]
         for J in (1, 2, 3):
             ratios = []
             for s in ("0.2", "0.1", "0.05"):
@@ -186,19 +184,17 @@ def test_extract_coefficient_validation_and_warning():
 
 
 def test_dilog_closed_forms():
-    # the two golden-ratio dilog values and their difference pi^2/5
+    # log_poch_check takes Li_2 from mpmath at the two golden-ratio arguments,
+    # where the closed forms give both values and their difference pi^2/5
     with mp.workdps(45):
         phi = (1 + mp.sqrt(5)) / 2
-        lp = dilog(1 / phi, 40)
-        lm = dilog(-phi, 40)
+        lp = mp.polylog(2, PHI_INV.embed(40))
+        lm = mp.polylog(2, MINUS_PHI.embed(40))
         assert abs(lp - (mp.pi ** 2 / 10 - mp.log(phi) ** 2)) < mp.mpf("1e-38")
         assert abs(lm - (-mp.pi ** 2 / 10 - mp.log(phi) ** 2)) < mp.mpf("1e-38")
         assert abs((lp - lm) - mp.pi ** 2 / 5) < mp.mpf("1e-38")
-        # cross-check against mpmath's own implementation
-        assert abs(lp - mp.polylog(2, 1 / phi)) < mp.mpf("1e-38")
-        assert abs(li1(1 / phi, 40) - (-mp.log(1 - 1 / phi))) < mp.mpf("1e-38")
-    with pytest.raises(ValueError):
-        dilog(1.5)
+        # Li_1(x) = -log(1 - x) = -log1p(-x); at 1/phi it is 2 log(phi)
+        assert abs(-mp.log1p(-PHI_INV.embed(40)) - 2 * mp.log(phi)) < mp.mpf("1e-38")
 
 
 def test_log_pochhammer_consistent_with_product():

@@ -5,17 +5,14 @@ from itertools import permutations
 import mpmath as mp
 import pytest
 
-from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, SubfieldTag
-from unclosed.qseries import li1
+from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5
 from unclosed.sequences import (
     DEFAULT_MAX_ORDER,
     bernoulli_half,
     bernoulli_number,
     bernoulli_numbers,
-    bernoulli_poly_shifted,
     eulerian_row,
     eulerian_triangle,
-    pi_squared_over_5,
     polylog_delta,
     polylog_delta_table,
     polylog_neg,
@@ -85,35 +82,27 @@ def test_bernoulli_half_values():
 
 
 def test_shifted_poly_small_cases():
-    from unclosed.field import I_UNIT
-    from unclosed.series import VPoly
-
-    assert bernoulli_poly_shifted(0) == VPoly([ONE])
-    assert bernoulli_poly_shifted(1) == VPoly([FieldElem([0] * 8), I_UNIT])
-    p2 = bernoulli_poly_shifted(2)
-    assert p2.coeff(0) == FieldElem.from_rational(Fraction(-1, 12))
-    assert p2.coeff(1).is_zero()
-    assert p2.coeff(2) == -ONE
+    # B_n(1/2 + i v), which the numeric checks take from mpmath
+    with mp.workdps(40):
+        for v in (mp.mpf(0), mp.mpf("0.3"), mp.mpf(-2)):
+            x = mp.mpc(mp.mpf(1) / 2, v)
+            assert mp.bernpoly(0, x) == 1
+            assert abs(mp.bernpoly(1, x) - mp.mpc(0, v)) < mp.mpf("1e-35")
+            assert abs(mp.bernpoly(2, x) - (-v * v - mp.mpf(1) / 12)) < mp.mpf("1e-35")
 
 
 def test_shifted_poly_binomial_oracle():
-    # independent path: expand sum_j C(n,j) B_{n-j} x**j at x = 1/2 + i v
-    from unclosed.field import I_UNIT
-
-    half = FieldElem.from_rational(Fraction(1, 2))
-    for n in range(9):
-        got = bernoulli_poly_shifted(n)
-        # (1/2 + i v)**j as VPoly computed by repeated multiplication
-        from unclosed.series import VPoly
-
-        x = VPoly([half, I_UNIT])
-        xp = VPoly([ONE])
-        acc = VPoly([])
-        for j in range(n + 1):
-            c = math.comb(n, j) * bernoulli_number(n - j)
-            acc = acc + xp.scale(c)
-            xp = xp * x
-        assert acc == got
+    # the exact route expands B_n(1/2 + x) = sum_j C(n,j) B_{n-j}(1/2) x**j;
+    # mpmath's B_n(1/2 + i v) must agree with that sum at x = i v
+    with mp.workdps(50):
+        for n in range(12):
+            for v in (mp.mpf("0.3"), mp.mpf("1.7")):
+                acc = mp.mpc(0)
+                for j in range(n + 1):
+                    c = math.comb(n, j) * bernoulli_half(n - j)
+                    acc += mp.mpf(c.numerator) / c.denominator * mp.mpc(0, v) ** j
+                got = mp.bernpoly(n, mp.mpc(mp.mpf(1) / 2, v))
+                assert abs(got - acc) < mp.mpf("1e-40") * (1 + abs(acc))
 
 
 def test_polylog_neg_basic_values():
@@ -163,27 +152,27 @@ def test_polylog_neg_derivative_identity_numeric():
     h = mp.mpf("1e-25")
     with mp.workdps(60):
         for w in (PHI_INV, MINUS_PHI):
-            wn = w.embed_real(55)
+            wn = w.embed(55)
             for n in range(0, 5):
                 def li(x, order=n):
                     num = sum(a * x ** (k + 1) for k, a in enumerate(eulerian_row(order)))
                     return num / (1 - x) ** (order + 1) if order else x / (1 - x)
 
                 deriv = (li(wn + h) - li(wn - h)) / (2 * h)
-                lhs = polylog_neg(n + 1, w).embed_real(55)
+                lhs = polylog_neg(n + 1, w).embed(55)
                 assert abs(lhs - wn * deriv) < mp.mpf("1e-20") * (1 + abs(lhs))
 
 
 def test_delta_table_values():
     assert polylog_delta(0) == SQRT5
-    assert polylog_delta(1) == FieldElem.from_rational(4)
+    assert polylog_delta(1) == FieldElem(4)
     assert polylog_delta(2) == SQRT5 * 8
     table = polylog_delta_table(20)
-    assert len(table.values) == 21
-    for v in table.values:
-        assert v.subfield() <= SubfieldTag.SQRT5
-    # observed (not assumed): odd-index entries so far are plain rationals
-    assert table.values[3] == FieldElem.from_rational(112)
+    assert len(table) == 21
+    # sqrt5 -> -sqrt5 swaps 1/phi and -phi, so delta(n) lies in sqrt5**(n+1) * Q
+    for n, v in enumerate(table):
+        assert (v.p if n % 2 == 0 else v.q) == 0
+    assert table[3] == FieldElem(112)
 
 
 def test_delta_table_caps():
@@ -197,10 +186,5 @@ def test_index_minus_one_vanishes_numerically():
     # the order -1 combination involves Li_1 and is transcendental; at 30+
     # digits the two logs cancel to well below 1e-25
     with mp.workdps(50):
-        val = li1(PHI_INV.embed_real(40), 40) + li1(MINUS_PHI.embed_real(40), 40)
+        val = -mp.log1p(-PHI_INV.embed(40)) - mp.log1p(-MINUS_PHI.embed(40))
         assert abs(val) < mp.mpf("1e-25")
-
-
-def test_pi_squared_over_5():
-    with mp.workdps(40):
-        assert abs(pi_squared_over_5(30) - mp.pi ** 2 / 5) < mp.mpf("1e-29")

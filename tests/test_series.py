@@ -4,22 +4,20 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from unclosed.field import D_ROOT, FieldElem, I_UNIT, ONE, SQRT5, ZERO
+from unclosed.field import FieldElem, ONE, SQRT5, ZERO
 from unclosed.sequences import polylog_delta
 from unclosed.series import (
-    GaussianMoments,
     PuiseuxSeries,
     VPoly,
     damping_term,
     exponent_series,
     gaussian_integrate,
-    gaussian_moments,
 )
 
 
 def random_vpoly(rng, max_deg=3):
     return VPoly(
-        [FieldElem([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)])
+        [FieldElem(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)))
          for _ in range(rng.randint(0, max_deg + 1))]
     )
 
@@ -52,9 +50,10 @@ def test_vpoly_arithmetic():
 
 
 def test_vpoly_eval():
-    p = VPoly([ONE, I_UNIT])  # 1 + i v
-    val = p.eval_embed(mp.mpf(2), 30)
-    assert abs(val - mp.mpc(1, 2)) < mp.mpf("1e-25")
+    p = VPoly([ONE, SQRT5])  # 1 + sqrt5 w
+    val = p.eval_embed(mp.mpc(0, 2), 30)
+    with mp.workdps(40):
+        assert abs(val - mp.mpc(1, 2 * mp.sqrt(5))) < mp.mpf("1e-25")
 
 
 # ----------------------------------------------------------------------
@@ -169,18 +168,27 @@ def test_exp_is_multiplicative():
 
 
 def test_gaussian_moment_values():
-    assert gaussian_integrate(VPoly.monomial(4)) == FieldElem.from_rational(3)
-    assert gaussian_integrate(VPoly.monomial(6)) == FieldElem.from_rational(15)
+    # w = i v / 5**(1/4): E[w**4] = 3/5, E[w**6] = -15/(5 sqrt5)
+    assert gaussian_integrate(VPoly.monomial(4)) == FieldElem(Fraction(3, 5))
+    assert gaussian_integrate(VPoly.monomial(6)) == SQRT5 * Fraction(-3, 5)
     assert gaussian_integrate(VPoly.monomial(3)).is_zero()
     assert gaussian_integrate(VPoly.one()) == ONE
+    # v**2 = -sqrt5 w**2 recovers the standard moments 3 and 15
+    assert gaussian_integrate(VPoly.monomial(4, SQRT5 ** 2)) == FieldElem(3)
+    assert gaussian_integrate(VPoly.monomial(6, -(SQRT5 ** 3))) == FieldElem(15)
 
 
 def test_gaussian_moments_table():
-    table = gaussian_moments(6)
-    assert isinstance(table, GaussianMoments)
-    assert table.moments[0] == 1
-    for m in range(1, 7):
-        assert table.moments[m] == (2 * m - 1) * table.moments[m - 1]
+    # E[w**(2m)] = (-1/sqrt5)**m (2m-1)!!, checked against mpmath's
+    # double factorial and a numeric E[(i v / 5**(1/4))**(2m)]
+    for m in range(0, 13):
+        got = gaussian_integrate(VPoly.monomial(2 * m))
+        with mp.workdps(40):
+            want = (-1 / mp.sqrt(5)) ** m * mp.fac2(2 * m - 1)
+            assert abs(got.embed(40) - want) < mp.mpf("1e-35") * (1 + abs(want))
+        if m:
+            prev = gaussian_integrate(VPoly.monomial(2 * m - 2))
+            assert got == prev * SQRT5 * Fraction(-(2 * m - 1), 5)
 
 
 # ----------------------------------------------------------------------
@@ -190,15 +198,15 @@ def test_gaussian_moments_table():
 
 def test_exponent_series_leading_terms():
     ser = exponent_series(3, 2)
-    # t^1 coefficient: -(2/15) * i * d * v^3
+    # t^1 coefficient: (2/3) w^3
     t1 = ser.coeff(1)
     assert t1.degree == 3
-    assert t1.coeff(3) == I_UNIT * D_ROOT * Fraction(-2, 15)
+    assert t1.coeff(3) == FieldElem(Fraction(2, 3))
     assert t1.coeff(0).is_zero() and t1.coeff(1).is_zero() and t1.coeff(2).is_zero()
-    # t^2 coefficient: (sqrt5/15) * v^4
+    # t^2 coefficient: (sqrt5/3) w^4
     t2 = ser.coeff(2)
     assert t2.degree == 4
-    assert t2.coeff(4) == SQRT5 * Fraction(1, 15)
+    assert t2.coeff(4) == SQRT5 * Fraction(1, 3)
     assert all(t2.coeff(j).is_zero() for j in range(4))
 
 
@@ -209,26 +217,28 @@ def test_exponent_series_trunc_zero_is_empty():
 
 
 def test_exponent_series_exp_second_order():
-    # t^2 coefficient of the exponential: (sqrt5/15) v^4 - (2 sqrt5/225) v^6
+    # t^2 coefficient of the exponential: (sqrt5/3) w^4 + (2/9) w^6
     ser = exponent_series(5, 4).exp()
     t2 = ser.coeff(2)
-    assert t2.coeff(4) == SQRT5 * Fraction(1, 15)
-    assert t2.coeff(6) == SQRT5 * Fraction(-2, 225)
+    assert t2.coeff(4) == SQRT5 * Fraction(1, 3)
+    assert t2.coeff(6) == FieldElem(Fraction(2, 9))
     assert t2.coeff(0).is_zero() and t2.coeff(2).is_zero()
 
 
 def test_exponent_series_matches_direct_numeric_sum():
-    # assembled series at (t, v) == direct sum of the defining terms with the
-    # substituted argument, evaluated independently with mpmath
+    # assembled series at (t, w = i v / 5**(1/4)) == direct sum of the defining
+    # terms with the substituted argument, evaluated independently with mpmath
     N, s, v = 6, mp.mpf("1e-4"), mp.mpf("0.3")
     ser = exponent_series(N, 2 * N)
     t = mp.sqrt(s)
-    assembled = ser.eval_embed(t, v, 40)
+    with mp.workdps(50):
+        w = mp.mpc(0, 1) * v / mp.root(5, 4)
+    assembled = ser.eval_embed(t, w, 40)
     with mp.workdps(50):
         direct = mp.mpc(0)
         arg = mp.mpc(0.5, 0) + mp.mpc(0, 1) * v / (mp.root(5, 4) * t)
         for k in range(2, N + 1):
-            delta = polylog_delta(k - 1).embed_real(45)
+            delta = polylog_delta(k - 1).embed(45)
             # Bernoulli polynomial via its defining binomial sum
             from unclosed.sequences import bernoulli_number
             from math import comb, factorial
@@ -257,11 +267,3 @@ def test_damping_term():
     d = damping_term(4)
     assert d.coeff(2) == VPoly([SQRT5 * Fraction(-1, 24)])
     assert damping_term(1) == PuiseuxSeries.zero(1)
-
-
-def test_debug_json_shape():
-    ser = exponent_series(3, 2)
-    doc = ser.to_debug_json()
-    assert set(doc) == {"t^1", "t^2"}
-    assert len(doc["t^1"]) == 4  # degree-3 polynomial: 4 coefficient rows
-    assert all(len(row) == 8 for row in doc["t^1"])
