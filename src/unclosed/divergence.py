@@ -31,7 +31,6 @@ __all__ = [
     "fit_geometric_rate",
     "bernoulli_weight",
     "partial_exp",
-    "symmetrized_partial_exp",
     "partial_exp_max_error",
     "exponent_sum",
     "CoshRow",
@@ -135,13 +134,6 @@ def partial_exp(k: int, z, digits: int = 30, weights=None) -> mp.mpf:
             total += w[k + 1 - j] * term
             term = term * zv / (j + 1)
         return total
-
-
-def symmetrized_partial_exp(k: int, v, digits: int = 30) -> mp.mpf:
-    """(1/2) * (partial_exp(k, 2 pi v) - (-1)**k * partial_exp(k, -2 pi v))."""
-    with mp.workdps(digits + 10):
-        z = 2 * mp.pi * mp.mpmathify(v)
-        return (partial_exp(k, z, digits) - (-1) ** k * partial_exp(k, -z, digits)) / 2
 
 
 def partial_exp_max_error(k: int, digits: int = 30, grid: int = 41) -> float:

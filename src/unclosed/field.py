@@ -6,6 +6,11 @@ phi = (1 + sqrt5)/2 (phi**2 = phi + 1), the polylog delta values, the
 series coefficients in the graded variable w of `unclosed.series`, and the
 expansion coefficients b_j and c_j.
 
+FieldElem is the public exact type, not the workhorse of the series
+arithmetic: `unclosed.series` keeps each polynomial in w as integer
+numerators over one shared denominator and builds FieldElem values only
+where a coefficient or a Gaussian mean leaves the kernel.
+
 Elements are immutable and all operations are pure, so values can be
 shared freely across threads.
 """

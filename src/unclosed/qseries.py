@@ -34,7 +34,6 @@ __all__ = [
     "LogPochReport",
     "MinorArcReport",
     "required_digits",
-    "pochhammer_q",
     "f_direct",
     "normalized_remainder",
     "eval_report",
@@ -78,35 +77,13 @@ def _context_for(s: Union[str, float], out_digits: int = 10) -> PrecisionContext
     return PrecisionContext(digits=max(30, required_digits(s, out_digits)))
 
 
-def pochhammer_q(z, q, m: Optional[int] = None, ctx: PrecisionContext = PrecisionContext()):
-    """(z; q)_m = prod_{n=0}^{m-1} (1 - z q**n); m = None or inf means m -> oo.
+def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
+    """Direct summation of F(exp(-s)) and the number of terms summed.
 
-    The infinite product stops once |z q**n| drops below 10**-(digits+guard).
+    All terms are positive.  Summation stops after five successive terms
+    that each fall below the one before and below 10**-digits times the
+    running total.
     """
-    with mp.workdps(ctx.digits + ctx.guard):
-        qv = mp.mpf(q)
-        if not 0 < qv < 1:
-            raise ValueError("q must lie in (0, 1)")
-        zv = mp.mpmathify(z)
-        real = mp.im(zv) == 0
-        acc = mp.mpf(1) if real else mp.mpc(1)
-        tiny = mp.mpf(10) ** (-(ctx.digits + ctx.guard))
-        if m is not None and m != mp.inf:
-            if m < 0:
-                raise ValueError("m must be >= 0")
-            zq = zv
-            for _ in range(m):
-                acc *= 1 - zq
-                zq *= qv
-            return acc
-        zq = zv
-        while abs(zq) >= tiny:
-            acc *= 1 - zq
-            zq *= qv
-        return acc
-
-
-def _f_direct_count(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
     with mp.workdps(ctx.digits + ctx.guard):
         smp = mp.mpf(s)
         if smp <= 0:
@@ -147,14 +124,9 @@ def _f_direct_count(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
         return total, terms
 
 
-def f_direct(s, ctx: PrecisionContext) -> mp.mpf:
-    """Direct summation of F(exp(-s)); all terms positive, stops per policy."""
-    return _f_direct_count(s, ctx)[0]
-
-
 def normalized_remainder(s, ctx: PrecisionContext) -> mp.mpf:
     """F(exp(-s)) * sqrt(2 pi sqrt5 / s) * exp(-pi**2/(5 s)); tends to 1 as s -> 0."""
-    value, _ = _f_direct_count(s, ctx)
+    value, _ = f_direct(s, ctx)
     with mp.workdps(ctx.digits + ctx.guard):
         smp = mp.mpf(s)
         return value * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
@@ -182,7 +154,7 @@ def eval_report(s, order: int = 2, ctx: Optional[PrecisionContext] = None) -> Ev
         raise ValueError("order must be >= 1")
     if ctx is None:
         ctx = _context_for(s)
-    F, terms = _f_direct_count(s, ctx)
+    F, terms = f_direct(s, ctx)
     with mp.workdps(ctx.digits + ctx.guard):
         smp = mp.mpf(s)
         remainder = F * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))

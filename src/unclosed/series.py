@@ -10,20 +10,29 @@ absorbs that factor, so every coefficient in w lies in Q(sqrt5).  Products,
 exp and log keep the grading, and Gaussian integration becomes
 E[w**(2m)] = (-1/sqrt5)**m * (2m-1)!! with odd powers giving 0.
 
-`VPoly` is a dense polynomial in w over Q(sqrt5).  `PuiseuxSeries` maps
-integer powers of t to VPoly values up to a fixed truncation order;
-arithmetic never reads past the truncation.  `exponent_series` assembles
-the exponent: each degree-(k+1) shifted Bernoulli polynomial enters at base
-power t**(2k), and its w**j monomial is pushed down to t**(2k-j).
+`VPoly` is a dense polynomial in w over Q(sqrt5), stored as two lists of
+integer numerators P, Q and one shared positive denominator d: the w**j
+coefficient is (P[j] + Q[j]*sqrt5) / d.  The denominator is reduced by one
+gcd pass per polynomial, never per coefficient operation, so products and
+sums are plain int multiply-adds.  `PuiseuxSeries` maps integer powers of t
+to VPoly values up to a fixed truncation order; arithmetic never reads past
+the truncation.  exp and log put each step of their coefficient recurrence
+over one common denominator and reduce once per step.  `exponent_series`
+assembles the exponent: each degree-(k+1) shifted Bernoulli polynomial
+enters at base power t**(2k), and its w**j monomial is pushed down to
+t**(2k-j).
 
 Everything here is exact; zero coefficients are detected by exact equality.
+`FieldElem` stays the exchange type: `VPoly.coeff`, `VPoly.coeffs` and
+`gaussian_integrate` return field elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, Mapping, Sequence, Union
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import mpmath as mp
 
@@ -41,16 +50,75 @@ def _as_field(value: ScalarLike) -> FieldElem:
     return FieldElem(value)
 
 
-class VPoly:
-    """Dense polynomial in w with FieldElem coefficients, trailing zeros trimmed."""
+def _scalar_ints(value: ScalarLike) -> Tuple[int, int, int]:
+    """(a, b, e) with integers a, b and e > 0 such that value = (a + b*sqrt5) / e."""
+    value = _as_field(value)
+    p, q = value.p, value.q
+    e = lcm(p.denominator, q.denominator)
+    return p.numerator * (e // p.denominator), q.numerator * (e // q.denominator), e
 
-    __slots__ = ("coeffs",)
+
+def _canonical(poly: "VPoly", P: List[int], Q: List[int], d: int) -> None:
+    # trim trailing zero coefficients and divide out gcd(d, P, Q) in one pass
+    n = len(P)
+    while n and not (P[n - 1] or Q[n - 1]):
+        n -= 1
+    if not n:
+        P, Q, d = (), (), 1
+    else:
+        P, Q = P[:n], Q[:n]
+        g = gcd(d, *P, *Q)
+        if g > 1:
+            P = [x // g for x in P]
+            Q = [x // g for x in Q]
+            d //= g
+    object.__setattr__(poly, "P", tuple(P))
+    object.__setattr__(poly, "Q", tuple(Q))
+    object.__setattr__(poly, "d", d)
+
+
+def _weighted_sum(terms) -> Tuple[List[int], List[int], int]:
+    """Numerators P, Q and denominator D of sum(k * x * y for k, x, y in terms)."""
+    D = lcm(*(x.d * y.d for _, x, y in terms))
+    size = max(len(x.P) + len(y.P) for _, x, y in terms) - 1
+    P, Q = [0] * size, [0] * size
+    for k, x, y in terms:
+        if len(x.P) > len(y.P):
+            x, y = y, x
+        f = k * (D // (x.d * y.d))
+        ys = [(j, p, q) for j, (p, q) in enumerate(zip(y.P, y.Q)) if p or q]
+        for i, (a, b) in enumerate(zip(x.P, x.Q)):
+            if not (a or b):
+                continue
+            a, b = f * a, f * b
+            b5 = 5 * b
+            for j, p, q in ys:
+                P[i + j] += a * p + b5 * q
+                Q[i + j] += a * q + b * p
+    return P, Q, D
+
+
+class VPoly:
+    """Polynomial in w over Q(sqrt5): the w**j coefficient is (P[j] + Q[j]*sqrt5) / d.
+
+    Canonical form: no trailing zero coefficient, d > 0 and gcd(d, P, Q) = 1
+    (d = 1 for the zero polynomial), so equal polynomials store equal data.
+    """
+
+    __slots__ = ("P", "Q", "d")
 
     def __init__(self, coeffs: Sequence[FieldElem]):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        parts = [_scalar_ints(c) for c in coeffs]
+        d = lcm(*(e for _, _, e in parts))
+        P = [a * (d // e) for a, _, e in parts]
+        Q = [b * (d // e) for _, b, e in parts]
+        _canonical(self, P, Q, d)
+
+    @classmethod
+    def _from_ints(cls, P: List[int], Q: List[int], d: int) -> "VPoly":
+        poly = object.__new__(cls)
+        _canonical(poly, P, Q, d)
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("VPoly is immutable")
@@ -69,25 +137,34 @@ class VPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.P) - 1
+
+    @property
+    def coeffs(self) -> Tuple[FieldElem, ...]:
+        return tuple(self.coeff(j) for j in range(len(self.P)))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.P
 
     def coeff(self, j: int) -> FieldElem:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else ZERO
+        if not 0 <= j < len(self.P):
+            return ZERO
+        return FieldElem(Fraction(self.P[j], self.d), Fraction(self.Q[j], self.d))
 
     def __add__(self, other: "VPoly") -> "VPoly":
         if not isinstance(other, VPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return VPoly([self.coeff(j) + other.coeff(j) for j in range(n)])
+        g = gcd(self.d, other.d)
+        f, h = other.d // g, self.d // g
+        P = [a * f + b * h for a, b in zip_longest(self.P, other.P, fillvalue=0)]
+        Q = [a * f + b * h for a, b in zip_longest(self.Q, other.Q, fillvalue=0)]
+        return VPoly._from_ints(P, Q, self.d * f)
 
     def __sub__(self, other: "VPoly") -> "VPoly":
         return self + (-other)
 
     def __neg__(self) -> "VPoly":
-        return VPoly([-c for c in self.coeffs])
+        return VPoly._from_ints([-a for a in self.P], [-b for b in self.Q], self.d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
@@ -96,29 +173,23 @@ class VPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return VPoly.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return VPoly(out)
+        return VPoly._from_ints(*_weighted_sum([(1, self, other)]))
 
     __rmul__ = __mul__
 
     def scale(self, s: ScalarLike) -> "VPoly":
-        s = _as_field(s)
-        return VPoly([c * s for c in self.coeffs])
+        a, b, e = _scalar_ints(s)
+        P = [p * a + 5 * q * b for p, q in zip(self.P, self.Q)]
+        Q = [p * b + q * a for p, q in zip(self.P, self.Q)]
+        return VPoly._from_ints(P, Q, self.d * e)
 
     def __eq__(self, other):
         if not isinstance(other, VPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.d == other.d and self.P == other.P and self.Q == other.Q
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.P, self.Q, self.d))
 
     def eval_embed(self, w, digits: int = 30) -> mp.mpc:
         """Numeric value at w (real or complex), Horner form."""
@@ -225,41 +296,37 @@ class PuiseuxSeries:
 
         Computed through the coefficient recurrence m*E_m = sum_r r*a_r*E_{m-r},
         which agrees with summing a**m/m! at any truncation and stays exact.
+        Each step is summed over one common denominator and reduced once.
         """
         if not self.coeff(0).is_zero():
             raise ValueError("exp needs a series with no t^0 term")
         out: Dict[int, VPoly] = {0: VPoly.one()}
         for m in range(1, self.trunc_order + 1):
-            acc = VPoly.zero()
-            for r in range(1, m + 1):
-                a_r = self.terms.get(r)
-                if a_r is None:
-                    continue
-                e = out.get(m - r)
-                if e is None:
-                    continue
-                acc = acc + (a_r * e).scale(Fraction(r))
-            if not acc.is_zero():
-                out[m] = acc.scale(Fraction(1, m))
+            terms = [(r, a, out[m - r]) for r, a in self.terms.items() if m - r in out]
+            if terms:
+                P, Q, D = _weighted_sum(terms)
+                em = VPoly._from_ints(P, Q, m * D)
+                if not em.is_zero():
+                    out[m] = em
         return PuiseuxSeries(self.trunc_order, out)
 
     def log(self) -> "PuiseuxSeries":
-        """Formal logarithm; requires constant term exactly 1."""
+        """Formal logarithm; requires constant term exactly 1.
+
+        m*L_m = m*a_m - sum_{r<m} r*L_r*a_{m-r}, one common denominator per step.
+        """
         if self.coeff(0) != VPoly.one():
             raise ValueError("log needs a series with constant term 1")
         out: Dict[int, VPoly] = {}
         for m in range(1, self.trunc_order + 1):
-            acc = self.coeff(m).scale(Fraction(m))
-            for r in range(1, m):
-                l_r = out.get(r)
-                if l_r is None:
-                    continue
-                a = self.terms.get(m - r)
-                if a is None:
-                    continue
-                acc = acc - (l_r * a).scale(Fraction(r))
-            if not acc.is_zero():
-                out[m] = acc.scale(Fraction(1, m))
+            terms = [(-r, lr, self.terms[m - r]) for r, lr in out.items() if m - r in self.terms]
+            if m in self.terms:
+                terms.append((m, self.terms[m], VPoly.one()))
+            if terms:
+                P, Q, D = _weighted_sum(terms)
+                lm = VPoly._from_ints(P, Q, m * D)
+                if not lm.is_zero():
+                    out[m] = lm
         return PuiseuxSeries(self.trunc_order, out)
 
     def eval_embed(self, t, w, digits: int = 30) -> mp.mpc:
@@ -295,13 +362,22 @@ def _even_moment(j: int) -> FieldElem:
 
 
 def gaussian_integrate(p: VPoly) -> FieldElem:
-    """Mean of p(w) over standard Gaussian v: w**(2m) -> (-1/sqrt5)**m (2m-1)!!, odd -> 0."""
-    total = ZERO
-    for j, c in enumerate(p.coeffs):
-        if j % 2 or c.is_zero():
-            continue
-        total = total + c * _even_moment(j)
-    return total
+    """Mean of p(w) over standard Gaussian v: w**(2m) -> (-1/sqrt5)**m (2m-1)!!, odd -> 0.
+
+    The even numerators are weighted by the moment table over one common
+    denominator, so only the final value is a field element.
+    """
+    even = [j for j in range(0, len(p.P), 2) if p.P[j] or p.Q[j]]
+    moments = [(j, _scalar_ints(_even_moment(j))) for j in even]
+    E = lcm(*(e for _, (_, _, e) in moments))
+    x = y = 0
+    for j, (a, b, e) in moments:
+        f = E // e
+        a, b = a * f, b * f
+        x += p.P[j] * a + 5 * p.Q[j] * b
+        y += p.P[j] * b + p.Q[j] * a
+    den = p.d * E
+    return FieldElem(Fraction(x, den), Fraction(y, den))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from unclosed.divergence import (
     normalized_polylog_delta,
     partial_exp,
     partial_exp_max_error,
-    symmetrized_partial_exp,
 )
 from unclosed.expansion import compute_expansion
 from unclosed.sequences import bernoulli_half, polylog_delta
@@ -86,10 +85,15 @@ def test_partial_exp_max_error_decreases():
 
 
 def test_symmetrized_partial_exp_cosh_sinh():
+    # (partial_exp(k, z) - (-1)**k partial_exp(k, -z)) / 2 at z = 2 pi v
+    def symmetrized(k, v):
+        z = 2 * mp.pi * v
+        return (partial_exp(k, z, 30) - (-1) ** k * partial_exp(k, -z, 30)) / 2
+
     with mp.workdps(40):
         v = mp.mpf("0.25")
-        odd = symmetrized_partial_exp(41, v, 30)  # even part -> cosh
-        even = symmetrized_partial_exp(40, v, 30)  # odd part -> sinh
+        odd = symmetrized(41, v)  # even part -> cosh
+        even = symmetrized(40, v)  # odd part -> sinh
         assert abs(odd - mp.cosh(2 * mp.pi * v)) < mp.mpf("1e-6")
         assert abs(even - mp.sinh(2 * mp.pi * v)) < mp.mpf("1e-6")
 

@@ -4,7 +4,8 @@ The reference files under perfbench/reference were written by an earlier,
 independent implementation of the exact pipeline (arithmetic in
 Q(i, 5**(1/4)) with the ungraded variable v), so they pin every b_j and c_j
 through order 24 exactly, together with the delta, Bernoulli and Eulerian
-tables.  This test only reads them.
+tables and the verdicts and details of every `report` suite.  This test
+only reads them.
 """
 
 from pathlib import Path
@@ -22,6 +23,8 @@ REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "referenc
         (["coeffs", "--max-order", "24"], "coeffs-24.json"),
         (["coeffs", "--max-order", "24", "--format", "csv"], "coeffs-24.csv"),
         (["tables", "--kind", "all", "--max-n", "64"], "tables-64.json"),
+        (["coeffs", "--max-order", "12"], "coeffs-12.json"),
+        (["report"], "report.json"),
     ],
 )
 def test_cli_output_matches_reference(capsys, argv, name):

@@ -16,7 +16,6 @@ from unclosed.qseries import (
     log_pochhammer_inf,
     minor_arc_check,
     normalized_remainder,
-    pochhammer_q,
     required_digits,
 )
 
@@ -55,40 +54,38 @@ def test_required_digits_policy():
 
 
 def test_pochhammer_finite():
-    ctx = PrecisionContext(digits=40)
-    assert pochhammer_q("0.3", "0.5", 0, ctx) == 1
-    val = pochhammer_q("0.5", "0.5", 2, ctx)
+    # mpmath's q-Pochhammer symbol (a; q)_n, which the package relies on
+    with mp.workdps(40):
+        assert mp.qp(mp.mpf("0.3"), mp.mpf("0.5"), 0) == 1
+        val = mp.qp(mp.mpf("0.5"), mp.mpf("0.5"), 2)  # (1 - 1/2)(1 - 1/4)
     with mp.workdps(50):
         assert abs(val - mp.mpf("0.375")) < mp.mpf("1e-38")
-    with pytest.raises(ValueError):
-        pochhammer_q("0.5", "1.5", 2, ctx)
-    with pytest.raises(ValueError):
-        pochhammer_q("0.5", "0.5", -1, ctx)
 
 
 def test_pochhammer_infinite_vs_frozen_and_oracle():
-    import math
-
-    val = pochhammer_q("0.5", "0.5", None, PrecisionContext(digits=40))
+    with mp.workdps(40):
+        val = mp.qp(mp.mpf("0.5"), mp.mpf("0.5"))
     with mp.workdps(50):
         assert abs(val - mp.mpf(EULER_HALF)) < mp.mpf("1e-34")
         assert abs(val - pentagonal_euler("0.5")) < mp.mpf("1e-38")
-    assert pochhammer_q("0.5", "0.5", math.inf, PrecisionContext(digits=40)) == val
 
 
 def test_f_direct_large_s_near_one():
-    val = f_direct("20", PrecisionContext(digits=50))
+    val, terms = f_direct("20", PrecisionContext(digits=50))
     with mp.workdps(60):
         assert abs(val - 1) < mp.mpf("1e-4")
+    assert terms >= 6  # the m = 0 term plus the five-term stopping streak
 
 
 def test_f_direct_monotone():
     ctx = PrecisionContext(digits=60)
-    assert f_direct("0.4", ctx) > f_direct("0.5", ctx)
+    assert f_direct("0.4", ctx)[0] > f_direct("0.5", ctx)[0]
+    # a smaller s has a longer rise before the terms decay
+    assert f_direct("0.4", ctx)[1] > f_direct("0.5", ctx)[1]
 
 
 def test_f_direct_frozen_value():
-    val = f_direct("0.5", PrecisionContext(digits=60))
+    val, _ = f_direct("0.5", PrecisionContext(digits=60))
     with mp.workdps(70):
         assert abs(val - mp.mpf(F_HALF)) < mp.mpf("1e-48")
 
@@ -200,7 +197,7 @@ def test_dilog_closed_forms():
 def test_log_pochhammer_consistent_with_product():
     with mp.workdps(50):
         lg = log_pochhammer_inf(mp.mpf("0.5"), mp.mpf("0.5"), 40)
-        prod = pochhammer_q("0.5", "0.5", None, PrecisionContext(digits=40))
+        prod = mp.qp(mp.mpf("0.5"), mp.mpf("0.5"))
         assert abs(mp.exp(lg) - prod) < mp.mpf("1e-35")
 
 
@@ -267,7 +264,7 @@ def test_constant_term_series_matches_numeric_f():
     coeffs = constant_term_check(20).direct
     with mp.workdps(60):
         s = -mp.log(mp.mpf("0.1"))
-        val = f_direct(s, PrecisionContext(digits=50))
+        val, _ = f_direct(s, PrecisionContext(digits=50))
         q = mp.mpf("0.1")
         partial = sum(c * q ** t for t, c in enumerate(coeffs))
         assert abs(val - partial) < mp.mpf("1e-15")

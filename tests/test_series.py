@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unclosed.field import FieldElem, ONE, SQRT5, ZERO
 from unclosed.sequences import polylog_delta
 from unclosed.series import (
     PuiseuxSeries,
     VPoly,
+    _even_moment,
     damping_term,
     exponent_series,
     gaussian_integrate,
@@ -30,6 +33,34 @@ def random_series(rng, trunc=6, from_power=0):
     return PuiseuxSeries(trunc, terms)
 
 
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+field_elems = st.builds(FieldElem, rationals, rationals)
+coeff_lists = st.lists(field_elems, max_size=5)
+
+
+@st.composite
+def positive_valuation_series(draw, trunc=6):
+    terms = draw(st.dictionaries(st.integers(1, trunc), coeff_lists.map(VPoly), max_size=4))
+    return PuiseuxSeries(trunc, terms)
+
+
+def coeff_list(p, n):
+    return [p.coeff(j) for j in range(n)]
+
+
+def pad(values, n):
+    return (list(values) + [ZERO] * n)[:n]
+
+
+def naive_product(x, y):
+    # schoolbook convolution in FieldElem arithmetic, sharing no VPoly code
+    out = [ZERO] * max(len(x) + len(y) - 1, 0)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
 # ----------------------------------------------------------------------
 # VPoly
 # ----------------------------------------------------------------------
@@ -47,6 +78,22 @@ def test_vpoly_arithmetic():
     assert (v * v) == VPoly.monomial(2)
     assert v.scale(Fraction(1, 2)) == VPoly.monomial(1, Fraction(1, 2))
     assert (v - v).is_zero()
+
+
+@given(coeff_lists, coeff_lists, field_elems)
+def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, s):
+    px, py = VPoly(x), VPoly(y)
+    n = len(x) + len(y)
+    xs, ys = pad(x, n), pad(y, n)
+    assert coeff_list(px, n) == xs
+    assert coeff_list(px + py, n) == [a + b for a, b in zip(xs, ys)]
+    assert coeff_list(px - py, n) == [a - b for a, b in zip(xs, ys)]
+    assert coeff_list(px * py, n) == pad(naive_product(x, y), n)
+    assert coeff_list(px.scale(s), n) == [a * s for a in xs]
+    # canonical form: equal polynomials store equal numerators and denominator
+    assert (px + py) - py == px
+    assert hash((px + py) - py) == hash(px)
+    assert px.degree == max((j for j, c in enumerate(x) if not c.is_zero()), default=-1)
 
 
 def test_vpoly_eval():
@@ -154,6 +201,13 @@ def test_exp_log_round_trip_random():
         assert y.log().exp() == y
 
 
+@given(positive_valuation_series())
+def test_log_exp_round_trip_property(a):
+    assert a.exp().log() == a
+    one_plus_a = PuiseuxSeries.one(a.trunc_order) + a
+    assert one_plus_a.log().exp() == one_plus_a
+
+
 def test_exp_is_multiplicative():
     rng = random.Random(9)
     for _ in range(5):
@@ -176,6 +230,15 @@ def test_gaussian_moment_values():
     # v**2 = -sqrt5 w**2 recovers the standard moments 3 and 15
     assert gaussian_integrate(VPoly.monomial(4, SQRT5 ** 2)) == FieldElem(3)
     assert gaussian_integrate(VPoly.monomial(6, -(SQRT5 ** 3))) == FieldElem(15)
+
+
+@given(coeff_lists)
+def test_gaussian_integrate_matches_field_sum(x):
+    want = ZERO
+    for j, c in enumerate(x):
+        if j % 2 == 0:
+            want = want + c * _even_moment(j)
+    assert gaussian_integrate(VPoly(x)) == want
 
 
 def test_gaussian_moments_table():
