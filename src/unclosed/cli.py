@@ -4,19 +4,15 @@ Subcommands: coeffs, eval, verify, diverge, report, tables.  All output is
 deterministic for a fixed configuration: JSON documents carry a
 schema_version field and CSV uses '.' decimals, UTF-8 and LF endings.
 Exit codes: 0 success, 2 configuration error, 3 suite failure.
-
-The UNCLOSED_THREADS environment variable is validated and accepted as an
-upper bound on parallel suite execution; the current implementation runs
-single-threaded (every computation is deterministic either way).
+Handlers read the parsed argparse namespace directly; every default and
+choice lives in `build_parser`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 import mpmath as mp
@@ -32,39 +28,8 @@ EXIT_CONFIG = 2
 EXIT_SUITE = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one subcommand."""
-
-    subcommand: str
-    max_order: int = 12
-    precision: int = 30
-    s_values: Optional[List[str]] = None
-    fmt: str = "json"
-    out: Optional[str] = None
-    suite: Optional[str] = None
-    ebar_max: int = 30
-    order: int = 2
-    kind: str = "all"
-    max_n: int = 16
-    threads: int = 1
-
-
 class ConfigError(ValueError):
     pass
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("UNCLOSED_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"UNCLOSED_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError("UNCLOSED_THREADS must be >= 1")
-    return cap
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -75,21 +40,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _cmd_coeffs(cfg: RunConfig) -> int:
-    if not 1 <= cfg.max_order <= 24:
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_order <= 24:
         raise ConfigError("--max-order must lie in [1, 24]")
-    result = compute_expansion(cfg.max_order, precision=cfg.precision)
-    _emit(render_expansion(result, cfg.fmt), cfg.out)
+    result = compute_expansion(args.max_order, precision=args.precision)
+    _emit(render_expansion(result, args.fmt), args.out)
     return EXIT_OK
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    if not cfg.s_values:
+def _cmd_eval(args: argparse.Namespace) -> int:
+    if not args.s_values:
         raise ConfigError("eval needs at least one --s value")
-    if not 1 <= cfg.order <= 24:
+    if not 1 <= args.order <= 24:
         raise ConfigError("--order must lie in [1, 24]")
     parsed = []
-    for s in cfg.s_values:
+    for s in args.s_values:
         try:
             sv = mp.mpf(s)
         except ValueError as exc:
@@ -98,8 +63,8 @@ def _cmd_eval(cfg: RunConfig) -> int:
             raise ConfigError(f"s = {s} outside the supported range (0, 5]")
         parsed.append((float(sv), s))
     parsed.sort()
-    reports = [qseries.eval_report(s, order=cfg.order) for _, s in parsed]
-    digits = min(cfg.precision, 20)
+    reports = [qseries.eval_report(s, order=args.order) for _, s in parsed]
+    digits = min(args.precision, 20)
     rows = [
         {
             "s": r.s,
@@ -114,14 +79,14 @@ def _cmd_eval(cfg: RunConfig) -> int:
         }
         for r in reports
     ]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"schema_version": SCHEMA_VERSION, "kind": "eval", "rows": rows}
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["s,remainder,asymptotic,rel_err"]
         for r in rows:
             lines.append(f"{r['s']},{r['remainder']},{r['asymptotic']},{r['rel_err']}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -136,23 +101,16 @@ def _suite_doc(result: suites.SuiteResult, tag: str) -> dict:
     }
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.suite:
-        raise ConfigError("verify needs --suite")
-    try:
-        tag = suites.SUITES[cfg.suite][0]
-    except KeyError:
-        raise ConfigError(
-            f"unknown suite {cfg.suite!r}; known: {', '.join(sorted(suites.SUITES))}"
-        )
-    result = suites.run_suite(cfg.suite)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    tag = suites.SUITES[args.suite][0]
+    result = suites.run_suite(args.suite)
     doc = {"schema_version": SCHEMA_VERSION, "kind": "verify", **_suite_doc(result, tag)}
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     sys.stderr.write(result.line() + "\n")
     return EXIT_OK if result.ok else EXIT_SUITE
 
 
-def _cmd_report(cfg: RunConfig) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     results = suites.run_all()
     docs = [_suite_doc(r, tag) for tag, r in results]
     all_ok = all(r.ok for _, r in results)
@@ -162,19 +120,19 @@ def _cmd_report(cfg: RunConfig) -> int:
         "all_ok": all_ok,
         "suites": docs,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     for tag, r in results:
         sys.stderr.write(f"[{tag}] {r.line()}\n")
     return EXIT_OK if all_ok else EXIT_SUITE
 
 
-def _cmd_diverge(cfg: RunConfig) -> int:
-    if not 6 <= cfg.max_order <= 24:
+def _cmd_diverge(args: argparse.Namespace) -> int:
+    if not 6 <= args.max_order <= 24:
         raise ConfigError("--max-order must lie in [6, 24]")
-    if not 6 <= cfg.ebar_max <= 64:
+    if not 6 <= args.ebar_max <= 64:
         raise ConfigError("--ebar-max must lie in [6, 64]")
-    report = divergence.growth_report(max_order=cfg.max_order, ebar_max=cfg.ebar_max)
-    if cfg.fmt == "json":
+    report = divergence.growth_report(max_order=args.max_order, ebar_max=args.ebar_max)
+    if args.fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "diverge",
@@ -197,48 +155,42 @@ def _cmd_diverge(cfg: RunConfig) -> int:
                 for r in report.cosh_rows
             ],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["kind,index,value"]
         for n, x in enumerate(report.ebar):
             lines.append(f"ebar,{n},{x!r}")
         for j, x in enumerate(report.b_roots):
             lines.append(f"b_root,{j + 1},{x!r}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _cmd_tables(cfg: RunConfig) -> int:
-    if not 0 <= cfg.max_n <= 64:
+def _cmd_tables(args: argparse.Namespace) -> int:
+    if not 0 <= args.max_n <= 64:
         raise ConfigError("--max-n must lie in [0, 64]")
-    if cfg.kind not in ("all", "delta", "bernoulli", "eulerian"):
-        raise ConfigError("--kind must be one of all, delta, bernoulli, eulerian")
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "tables", "max_n": cfg.max_n}
-    want = ("delta", "bernoulli", "eulerian") if cfg.kind == "all" else (cfg.kind,)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "tables", "max_n": args.max_n}
+    want = ("delta", "bernoulli", "eulerian") if args.kind == "all" else (args.kind,)
     if "delta" in want:
         doc["delta"] = [
-            {"n": n, "exact": v.render(), "value": mp.nstr(v.embed(cfg.precision), cfg.precision)}
-            for n, v in enumerate(polylog_delta_table(cfg.max_n))
+            {"n": n, "exact": v.render(), "value": mp.nstr(v.embed(args.precision), args.precision)}
+            for n, v in enumerate(polylog_delta_table(args.max_n))
         ]
     if "bernoulli" in want:
-        table = bernoulli_numbers(cfg.max_n)
-        doc["bernoulli"] = [{"n": n, "value": str(v)} for n, v in enumerate(table.values)]
+        values = bernoulli_numbers(args.max_n)
+        doc["bernoulli"] = [{"n": n, "value": str(v)} for n, v in enumerate(values)]
     if "eulerian" in want:
-        tri = eulerian_triangle(min(cfg.max_n, 24))
-        doc["eulerian"] = [{"n": n, "row": [str(x) for x in row]} for n, row in enumerate(tri.rows)]
-    if cfg.fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
+        rows = eulerian_triangle(min(args.max_n, 24))
+        doc["eulerian"] = [{"n": n, "row": [str(x) for x in row]} for n, row in enumerate(rows)]
+    if args.fmt == "json":
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["table,n,values"]
         for key in ("delta", "bernoulli", "eulerian"):
             for row in doc.get(key, ()):
-                if key == "delta":
-                    lines.append(f"delta,{row['n']},{row['value']}")
-                elif key == "bernoulli":
-                    lines.append(f"bernoulli,{row['n']},{row['value']}")
-                else:
-                    lines.append(f"eulerian,{row['n']},{' '.join(row['row'])}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+                value = " ".join(row["row"]) if key == "eulerian" else row["value"]
+                lines.append(f"{key},{row['n']},{value}")
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -265,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run one named verification suite")
-    p.add_argument("--suite", required=False, choices=sorted(suites.SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     common(p)
 
     p = sub.add_parser("diverge", help="divergence diagnostics")
@@ -295,26 +247,11 @@ _HANDLERS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        max_order=getattr(ns, "max_order", 12),
-        precision=ns.precision,
-        s_values=getattr(ns, "s_values", None),
-        fmt=ns.fmt,
-        out=ns.out,
-        suite=getattr(ns, "suite", None),
-        ebar_max=getattr(ns, "ebar_max", 30),
-        order=getattr(ns, "order", 2),
-        kind=getattr(ns, "kind", "all"),
-        max_n=getattr(ns, "max_n", 16),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        cfg.threads = _thread_cap()
-        if cfg.precision < 1 or cfg.precision > 1000:
+        if not 1 <= args.precision <= 1000:
             raise ConfigError("--precision must lie in [1, 1000]")
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import mpmath as mp
 import numpy as np
 
-from .expansion import ExpansionResult
+from .expansion import ExpansionResult, compute_expansion
 from .sequences import polylog_delta
 
 __all__ = [
@@ -265,14 +265,7 @@ class GrowthReport:
     cosh_rows: Tuple[CoshRow, ...]
 
 
-def growth_report(
-    max_order: int = 12,
-    ebar_max: int = 30,
-    digits: int = 60,
-    result: Optional[ExpansionResult] = None,
-) -> GrowthReport:
-    from .expansion import compute_expansion
-
+def growth_report(max_order: int = 12, ebar_max: int = 30, digits: int = 60) -> GrowthReport:
     if ebar_max < 6:
         raise ValueError("ebar_max must be >= 6")
     raw = [normalized_polylog_delta(n, digits) for n in range(ebar_max + 1)]
@@ -281,9 +274,7 @@ def growth_report(
     errors = [float(abs(v - 1)) for v in raw]
     fit_lo, fit_hi = 5, min(30, ebar_max)
     rate, _ = fit_geometric_rate(range(fit_lo, fit_hi + 1), errors[fit_lo : fit_hi + 1])
-    if result is None:
-        result = compute_expansion(max_order, precision=30)
-    section = b_growth(result)
+    section = b_growth(compute_expansion(max_order, precision=30))
     cosh_rows = cosh_limit_check(digits=digits)
     return GrowthReport(
         n_range=(0, ebar_max),

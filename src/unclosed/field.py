@@ -66,13 +66,6 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FieldElem(self.p / other, self.q / other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, n: int) -> "FieldElem":
         if not isinstance(n, int):
             return NotImplemented

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
+from .expansion import compute_expansion
 from .field import FieldElem, MINUS_PHI, PHI_INV
 from .sequences import polylog_neg
 
@@ -49,18 +50,18 @@ class PrecisionError(ValueError):
     """Raised when a context violates the s-dependent precision policy."""
 
 
+GUARD_DIGITS = 20  # added to PrecisionContext.digits: tail and rounding slack
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working decimal precision plus guard digits for tail/rounding slack."""
+    """Working decimal precision, at least 30 digits."""
 
     digits: int = 50
-    guard: int = 20
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError("digits must be >= 30")
-        if self.guard < 0:
-            raise ValueError("guard must be >= 0")
 
 
 def required_digits(s: Union[str, float], out_digits: int = 0) -> int:
@@ -84,7 +85,7 @@ def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
     that each fall below the one before and below 10**-digits times the
     running total.
     """
-    with mp.workdps(ctx.digits + ctx.guard):
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         if smp <= 0:
             raise ValueError("s must be positive")
@@ -127,7 +128,7 @@ def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
 def normalized_remainder(s, ctx: PrecisionContext) -> mp.mpf:
     """F(exp(-s)) * sqrt(2 pi sqrt5 / s) * exp(-pi**2/(5 s)); tends to 1 as s -> 0."""
     value, _ = f_direct(s, ctx)
-    with mp.workdps(ctx.digits + ctx.guard):
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         return value * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
 
@@ -148,14 +149,12 @@ class EvalReport:
 
 
 def eval_report(s, order: int = 2, ctx: Optional[PrecisionContext] = None) -> EvalReport:
-    from .expansion import compute_expansion
-
     if order < 1:
         raise ValueError("order must be >= 1")
     if ctx is None:
         ctx = _context_for(s)
     F, terms = f_direct(s, ctx)
-    with mp.workdps(ctx.digits + ctx.guard):
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         remainder = F * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
         result = compute_expansion(order, precision=min(ctx.digits, 60))
@@ -197,8 +196,6 @@ def extract_coefficient(
     linearly extrapolates the two smallest grid points to s = 0.  Warns when
     raw per-point estimates disagree by more than 10%.
     """
-    from .expansion import compute_expansion
-
     if j < 1:
         raise ValueError("j must be >= 1")
     if len(s_grid) < 2:
@@ -211,7 +208,7 @@ def extract_coefficient(
         lower += [x.embed(ctx.digits) for x in result.b[1:]]
     svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     ests = []
-    with mp.workdps(ctx.digits + ctx.guard):
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
         for smp in svals:
             R = normalized_remainder(smp, ctx)
             resid = R

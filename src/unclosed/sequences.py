@@ -6,23 +6,27 @@ functions, and the combination
 
     polylog_delta(n) = Li_{-n}(1/phi) - (-1)**n * Li_{-n}(-phi)
 
-whose values all lie in Q(sqrt5).  Tables grow on demand and are cached;
-after construction they are only read, so concurrent reads are safe.
+whose values all lie in Q(sqrt5).  Inversion, Li_{-n}(z) + (-1)**n Li_{-n}(1/z)
+= 0 for n >= 1 (the sum is -1 at n = 0), turns Li_{-n}(-phi) into
+Li_{-n}(-1/phi); duplication, Li_{-n}(z) + Li_{-n}(-z) = 2**(n+1) Li_{-n}(z**2),
+then leaves one polylog at phi**-2 = 1 - 1/phi:
+
+    polylog_delta(n) = 2**(n+1) * Li_{-n}(phi**-2) + [n = 0].
+
+Tables grow on demand and are cached; after construction they are only
+read, so concurrent reads are safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Tuple
 
-from .field import FieldElem, MINUS_PHI, ONE, PHI_INV, ZERO
+from .field import FieldElem, ONE, PHI_INV, ZERO
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
-    "EulerianTriangle",
-    "BernoulliTable",
     "eulerian_row",
     "eulerian_triangle",
     "bernoulli_number",
@@ -38,23 +42,10 @@ __all__ = [
 DEFAULT_MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
-class EulerianTriangle:
-    """Rows A(n, k) for 0 <= n <= max_order (row n=0 is [1] by convention)."""
-
-    rows: Tuple[Tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Bernoulli numbers B_0..B_N with the B_1 = -1/2 convention."""
-
-    values: Tuple[Fraction, ...]
-
-
 _eulerian_rows: list = [(1,)]
 _bernoulli: list = [Fraction(1)]
 _delta_values: list = []
+_PHI_INV_SQ = PHI_INV * PHI_INV
 
 
 def eulerian_row(n: int) -> Tuple[int, ...]:
@@ -73,11 +64,12 @@ def eulerian_row(n: int) -> Tuple[int, ...]:
     return _eulerian_rows[n]
 
 
-def eulerian_triangle(max_order: int = 16) -> EulerianTriangle:
+def eulerian_triangle(max_order: int = 16) -> Tuple[Tuple[int, ...], ...]:
+    """Rows A(n, k) for 0 <= n <= max_order (row n=0 is (1,) by convention)."""
     if not 0 <= max_order <= DEFAULT_MAX_ORDER:
         raise ValueError(f"max_order must be in [0, {DEFAULT_MAX_ORDER}]")
     eulerian_row(max_order)
-    return EulerianTriangle(rows=tuple(_eulerian_rows[: max_order + 1]))
+    return tuple(_eulerian_rows[: max_order + 1])
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -93,11 +85,12 @@ def bernoulli_number(n: int) -> Fraction:
     return _bernoulli[n]
 
 
-def bernoulli_numbers(max_order: int) -> BernoulliTable:
+def bernoulli_numbers(max_order: int) -> Tuple[Fraction, ...]:
+    """B_0..B_max_order with the B_1 = -1/2 convention."""
     if not 0 <= max_order <= 4 * DEFAULT_MAX_ORDER:
         raise ValueError("max_order out of range")
     bernoulli_number(max_order)
-    return BernoulliTable(values=tuple(_bernoulli[: max_order + 1]))
+    return tuple(_bernoulli[: max_order + 1])
 
 
 def bernoulli_half(n: int) -> Fraction:
@@ -129,15 +122,18 @@ def polylog_neg(n: int, w: FieldElem) -> FieldElem:
 
 
 def polylog_delta(n: int) -> FieldElem:
-    """Li_{-n}(1/phi) - (-1)**n Li_{-n}(-phi); exact, cached, in Q(sqrt5)."""
+    """Li_{-n}(1/phi) - (-1)**n Li_{-n}(-phi); exact, cached, in Q(sqrt5).
+
+    Computed as 2**(n+1) * Li_{-n}(phi**-2) + [n = 0]; see the module docstring.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > DEFAULT_MAX_ORDER:
         raise ValueError(f"order {n} exceeds the configured cap {DEFAULT_MAX_ORDER}")
     while len(_delta_values) <= n:
         m = len(_delta_values)
-        value = polylog_neg(m, PHI_INV) - polylog_neg(m, MINUS_PHI) * ((-1) ** m)
-        _delta_values.append(value)
+        value = polylog_neg(m, _PHI_INV_SQ) * 2 ** (m + 1)
+        _delta_values.append(value + ONE if m == 0 else value)
     return _delta_values[n]
 
 

@@ -34,8 +34,6 @@ from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-import mpmath as mp
-
 from .field import FieldElem, ONE, SQRT5, ZERO
 from .sequences import bernoulli_half, polylog_delta
 
@@ -191,14 +189,6 @@ class VPoly:
     def __hash__(self):
         return hash((self.P, self.Q, self.d))
 
-    def eval_embed(self, w, digits: int = 30) -> mp.mpc:
-        """Numeric value at w (real or complex), Horner form."""
-        with mp.workdps(digits + 10):
-            acc = mp.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * w + c.embed(digits)
-            return acc
-
     def __repr__(self):
         if self.is_zero():
             return "VPoly(0)"
@@ -328,15 +318,6 @@ class PuiseuxSeries:
                 if not lm.is_zero():
                     out[m] = lm
         return PuiseuxSeries(self.trunc_order, out)
-
-    def eval_embed(self, t, w, digits: int = 30) -> mp.mpc:
-        """Numeric value at concrete t and w."""
-        with mp.workdps(digits + 10):
-            t = mp.mpmathify(t)
-            acc = mp.mpc(0)
-            for m in self.powers():
-                acc += self.terms[m].eval_embed(w, digits) * t ** m
-            return acc
 
     def __repr__(self):
         body = ", ".join(f"t^{m}: {self.terms[m]!r}" for m in self.powers())

@@ -19,6 +19,7 @@ import mpmath as mp
 from .field import FieldElem, PHI_INV, SQRT5
 from .series import VPoly, gaussian_integrate
 from .expansion import assembled_series, compute_expansion
+from .sequences import polylog_delta
 from . import divergence, qseries
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
@@ -54,8 +55,6 @@ def suite_b1() -> SuiteResult:
 
 
 def suite_e_table() -> SuiteResult:
-    from .sequences import polylog_delta
-
     expected = {0: SQRT5, 1: FieldElem(4), 2: SQRT5 * 8}
     rows = []
     ok = True
@@ -90,7 +89,7 @@ def suite_scaling() -> SuiteResult:
     ctx = qseries.PrecisionContext(digits=80)
     result = compute_expansion(2, precision=40)
     rows = []
-    with mp.workdps(ctx.digits + ctx.guard):
+    with mp.workdps(ctx.digits + qseries.GUARD_DIGITS):
         b1 = result.b[1].embed(60)
         b2 = result.b[2].embed(60)
         r2 = []

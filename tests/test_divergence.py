@@ -110,7 +110,11 @@ def test_exponent_sum_matches_series_assembly():
         v = mp.mpf("0.4")
         direct = exponent_sum(N, s, v, 45)
         ser = exponent_series(N, 2 * N)
-        assembled = ser.eval_embed(t, mp.mpc(0, 1) * t * v, 45)
+        w = mp.mpc(0, 1) * t * v
+        assembled = mp.fsum(
+            mp.polyval([c.embed(45) for c in reversed(ser.coeff(m).coeffs)], w) * t ** m
+            for m in ser.powers()
+        )
         assert abs(direct - assembled) < mp.mpf("1e-30") * (1 + abs(direct))
 
 

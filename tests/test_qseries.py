@@ -41,9 +41,6 @@ def pentagonal_euler(q_str, dps=45):
 def test_precision_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(digits=29)
-    with pytest.raises(ValueError):
-        PrecisionContext(digits=40, guard=-1)
-    assert PrecisionContext().guard == 20
 
 
 def test_required_digits_policy():

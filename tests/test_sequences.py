@@ -49,7 +49,8 @@ def test_eulerian_row_sums_are_factorials():
 
 def test_eulerian_triangle_bounds():
     tri = eulerian_triangle(5)
-    assert tri.rows[3] == (1, 4, 1)
+    assert len(tri) == 6
+    assert tri[3] == (1, 4, 1)
     with pytest.raises(ValueError):
         eulerian_triangle(DEFAULT_MAX_ORDER + 1)
     with pytest.raises(ValueError):
@@ -65,7 +66,8 @@ def test_bernoulli_values():
 
 
 def test_bernoulli_recurrence_invariant():
-    table = bernoulli_numbers(20).values
+    table = bernoulli_numbers(20)
+    assert len(table) == 21
     for n in range(1, 20):
         acc = sum(math.comb(n + 1, j) * table[j] for j in range(n + 1))
         assert acc == 0
@@ -173,6 +175,13 @@ def test_delta_table_values():
     for n, v in enumerate(table):
         assert (v.p if n % 2 == 0 else v.q) == 0
     assert table[3] == FieldElem(112)
+
+
+def test_delta_matches_two_polylog_definition():
+    # polylog_delta uses one polylog at phi**-2; compare with the defining pair
+    for n in range(DEFAULT_MAX_ORDER + 1):
+        want = polylog_neg(n, PHI_INV) - polylog_neg(n, MINUS_PHI) * (-1) ** n
+        assert polylog_delta(n) == want, n
 
 
 def test_delta_table_caps():

@@ -96,13 +96,6 @@ def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, s):
     assert px.degree == max((j for j, c in enumerate(x) if not c.is_zero()), default=-1)
 
 
-def test_vpoly_eval():
-    p = VPoly([ONE, SQRT5])  # 1 + sqrt5 w
-    val = p.eval_embed(mp.mpc(0, 2), 30)
-    with mp.workdps(40):
-        assert abs(val - mp.mpc(1, 2 * mp.sqrt(5))) < mp.mpf("1e-25")
-
-
 # ----------------------------------------------------------------------
 # PuiseuxSeries arithmetic
 # ----------------------------------------------------------------------
@@ -296,8 +289,11 @@ def test_exponent_series_matches_direct_numeric_sum():
     t = mp.sqrt(s)
     with mp.workdps(50):
         w = mp.mpc(0, 1) * v / mp.root(5, 4)
-    assembled = ser.eval_embed(t, w, 40)
     with mp.workdps(50):
+        assembled = mp.fsum(
+            mp.polyval([c.embed(40) for c in reversed(ser.coeff(m).coeffs)], w) * t ** m
+            for m in ser.powers()
+        )
         direct = mp.mpc(0)
         arg = mp.mpc(0.5, 0) + mp.mpc(0, 1) * v / (mp.root(5, 4) * t)
         for k in range(2, N + 1):
