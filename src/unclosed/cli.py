@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SUITE = 3
 
+S_MIN = "0.0005"  # smallest eval --s; f_direct's time grows ~5.5x per halving of s
+
 
 class ConfigError(ValueError):
     pass
@@ -59,8 +61,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             sv = mp.mpf(s)
         except ValueError as exc:
             raise ConfigError(f"bad s value: {s!r}") from exc
-        if not 0 < sv <= 5:
-            raise ConfigError(f"s = {s} outside the supported range (0, 5]")
+        if not mp.mpf(S_MIN) <= sv <= 5:  # both parsed at one precision
+            raise ConfigError(f"s = {s} outside the supported range [{S_MIN}, 5]")
         parsed.append((float(sv), s))
     parsed.sort()
     reports = [qseries.eval_report(s, order=args.order) for _, s in parsed]
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="high-precision evaluation vs. the expansion")
     p.add_argument("--s", action="append", dest="s_values", metavar="S",
-                   help="evaluation point, repeatable; 0 < s <= 5")
+                   help=f"evaluation point, repeatable; {S_MIN} <= s <= 5")
     p.add_argument("--order", type=int, default=2, help="expansion order for comparison")
     common(p)
 

@@ -16,11 +16,11 @@ Everything here is a numerical witness, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import exp, factorial, log
 from typing import Dict, Optional, Sequence, Tuple
 
 import mpmath as mp
-import numpy as np
 
 from .expansion import ExpansionResult, compute_expansion
 from .sequences import polylog_delta
@@ -78,14 +78,14 @@ def delta_residue_sum(n: int, digits: int = 30, max_m: int = 20000) -> mp.mpf:
         return mp.re(value)
 
 
-def fit_geometric_rate(
-    ns: Sequence[int], errors: Sequence[float]
-) -> Tuple[float, float]:
+def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[float, float]:
     """Least-squares fit errors ~ C * K**n in log scale; returns (K_hat, C_hat)."""
-    xs = np.asarray(ns, dtype=float)
-    ys = np.log(np.asarray(errors, dtype=float))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(np.exp(slope)), float(np.exp(intercept))
+    # exact sums over Fractions of the float logs: slope and intercept round once
+    xs, ys = list(ns), [Fraction(log(e)) for e in errors]
+    x_bar, y_bar = Fraction(sum(xs), len(xs)), sum(ys) / len(ys)
+    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    slope = sxy / sum((x - x_bar) ** 2 for x in xs)
+    return exp(float(slope)), exp(float(y_bar - slope * x_bar))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +50,16 @@ def test_eval_validates_range(capsys):
     assert "range" in err
     code, _, _ = run_cli(capsys, "eval")
     assert code == 2
+
+
+def test_eval_rejects_s_below_floor(capsys):
+    # every --s is checked before any evaluation; f_direct alone would run
+    # for minutes at s = 0.0001
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "eval", "--s", "0.1", "--s", "0.0001")
+    assert code == 2
+    assert "[0.0005, 5]" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_eval_deterministic_and_sorted(capsys):
@@ -157,3 +172,19 @@ def test_report_runs_all(capsys):
     tags = {row["criterion_tag"] for row in doc["suites"]}
     assert {"AC-%d" % i for i in range(1, 11)} <= tags
     assert err.count("PASS") == len(doc["suites"])
+
+
+def test_cli_runs_without_numpy():
+    # a fresh interpreter: pytest or hypothesis may import numpy in this one
+    script = (
+        "import contextlib, io, sys\n"
+        "from unclosed import cli\n"
+        "for argv in (['diverge'], ['verify', '--suite', 'ebar']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import pytest
 
@@ -39,6 +41,20 @@ def test_scaled_delta_errors_decay_geometrically():
     for n, err in zip(range(5, 31), errors):
         model = front * rate ** n
         assert model / 100 < err < model * 100
+
+
+def test_fit_two_points_is_the_exact_log_ratio():
+    # through two points the least-squares line is exact, so the rate is
+    # exp of one correctly rounded float difference of the logs
+    e5, e6 = (float(abs(normalized_polylog_delta(n, 60) - 1)) for n in (5, 6))
+    rate, _ = fit_geometric_rate([5, 6], [e5, e6])
+    assert rate == math.exp(math.log(e6) - math.log(e5))
+
+
+def test_fit_recovers_synthetic_geometric_data():
+    rate, front = fit_geometric_rate(range(4), [3 * 0.5**n for n in range(4)])
+    assert abs(rate - 0.5) < 1e-15
+    assert abs(front - 3) < 1e-15
 
 
 def test_pole_sum_cross_check():
