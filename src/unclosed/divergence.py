@@ -27,7 +27,6 @@ from .sequences import polylog_delta
 
 __all__ = [
     "normalized_polylog_delta",
-    "delta_residue_sum",
     "fit_geometric_rate",
     "bernoulli_weight",
     "partial_exp",
@@ -48,34 +47,6 @@ def normalized_polylog_delta(n: int, digits: int = 50) -> mp.mpf:
     with mp.workdps(digits + 10):
         logphi = mp.log((1 + mp.sqrt(5)) / 2)
         return exact.embed(digits + 10) * logphi ** (n + 1) / mp.factorial(n)
-
-
-def delta_residue_sum(n: int, digits: int = 30, max_m: int = 20000) -> mp.mpf:
-    """Independent evaluation of polylog_delta(n) from the pole expansion.
-
-    Uses Li_{-d}(e^{-mu}) = d! * sum_{m in Z} (2 pi i m + mu)^{-(d+1)} at
-    mu = log(phi) and mu = pi*i - log(phi); the two sums combine to the
-    delta value.  Symmetric truncation at |m| <= max_m.
-    """
-    if n < 1:
-        raise ValueError("pole expansion check needs n >= 1")
-    with mp.workdps(digits + 15):
-        logphi = mp.log((1 + mp.sqrt(5)) / 2)
-        mu1 = mp.mpc(logphi, 0)
-        mu2 = mp.mpc(-logphi, mp.pi)
-        p = n + 1
-
-        def pole_sum(mu):
-            total = mu ** (-p)
-            for m in range(1, max_m + 1):
-                total += (mp.mpc(0, 2 * mp.pi * m) + mu) ** (-p)
-                total += (mp.mpc(0, -2 * mp.pi * m) + mu) ** (-p)
-            return total
-
-        li_phi_inv = mp.factorial(n) * pole_sum(mu1)
-        li_minus_phi = mp.factorial(n) * pole_sum(mu2)
-        value = li_phi_inv - (-1) ** n * li_minus_phi
-        return mp.re(value)
 
 
 def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[float, float]:

@@ -236,7 +236,17 @@ def extract_coefficient(
 
 
 def log_pochhammer_inf(prefactor, q, digits: int = 40) -> mp.mpc:
-    """Sum of principal logs of (1 - prefactor * q**n), n >= 0."""
+    """Sum of principal logs of (1 - prefactor * q**n), n >= 0.
+
+    Factors with |prefactor * q**n| > 1/2 are logged one by one.  The rest,
+    from x = prefactor * q**N with |x| <= 1/2 on, are summed by Euler's
+    series  -sum_{k>=1} x**k / (k (1 - q**k)),  which equals their principal
+    logs term by term because Log(1 - y) = -sum_k y**k / k for |y| < 1; so
+    the imaginary part keeps the branch of the factor-by-factor sum.
+    Successive tail terms shrink by a ratio of at most |x| <= 1/2 (1 - q**k
+    increases with k), so everything after a term is below twice that term;
+    the sum stops once twice the next term is below 10**-(digits + 5).
+    """
     with mp.workdps(digits + 10):
         qv = mp.mpf(q)
         if not 0 < qv < 1:
@@ -244,9 +254,17 @@ def log_pochhammer_inf(prefactor, q, digits: int = 40) -> mp.mpc:
         c = mp.mpmathify(prefactor)
         tiny = mp.mpf(10) ** (-(digits + 5))
         acc = mp.mpc(0)
-        while abs(c) >= tiny:
+        while abs(c) > 0.5:
             acc += mp.log(1 - c)
             c *= qv
+        k, ck, qk = 1, c, qv
+        term = c / (1 - qv)
+        while 2 * abs(term) >= tiny:
+            acc -= term
+            k += 1
+            ck *= c
+            qk *= qv
+            term = ck / (k * (1 - qk))
         return acc
 
 

@@ -7,7 +7,6 @@ from unclosed.divergence import (
     b_growth,
     bernoulli_weight,
     cosh_limit_check,
-    delta_residue_sum,
     exponent_sum,
     fit_geometric_rate,
     growth_report,
@@ -55,6 +54,34 @@ def test_fit_recovers_synthetic_geometric_data():
     rate, front = fit_geometric_rate(range(4), [3 * 0.5**n for n in range(4)])
     assert abs(rate - 0.5) < 1e-15
     assert abs(front - 3) < 1e-15
+
+
+def delta_residue_sum(n, digits=30, max_m=20000):
+    """Independent evaluation of polylog_delta(n) from the pole expansion.
+
+    Uses Li_{-d}(e^{-mu}) = d! * sum_{m in Z} (2 pi i m + mu)^{-(d+1)} at
+    mu = log(phi) and mu = pi*i - log(phi); the two sums combine to the
+    delta value.  Symmetric truncation at |m| <= max_m.
+    """
+    if n < 1:
+        raise ValueError("pole expansion check needs n >= 1")
+    with mp.workdps(digits + 15):
+        logphi = mp.log((1 + mp.sqrt(5)) / 2)
+        mu1 = mp.mpc(logphi, 0)
+        mu2 = mp.mpc(-logphi, mp.pi)
+        p = n + 1
+
+        def pole_sum(mu):
+            total = mu ** (-p)
+            for m in range(1, max_m + 1):
+                total += (mp.mpc(0, 2 * mp.pi * m) + mu) ** (-p)
+                total += (mp.mpc(0, -2 * mp.pi * m) + mu) ** (-p)
+            return total
+
+        li_phi_inv = mp.factorial(n) * pole_sum(mu1)
+        li_minus_phi = mp.factorial(n) * pole_sum(mu2)
+        value = li_phi_inv - (-1) ** n * li_minus_phi
+        return mp.re(value)
 
 
 def test_pole_sum_cross_check():

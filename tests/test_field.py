@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, ZERO
 
@@ -131,3 +133,30 @@ def test_immutability_and_hash():
         SQRT5.q = None
     assert hash(SQRT5) == hash(PHI + PHI_INV)
     assert hash(FieldElem(3)) == hash(SQRT5 * SQRT5 - FieldElem(2))
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50)
+field_elems = st.builds(FieldElem, rationals, rationals)
+
+
+@given(field_elems, field_elems, field_elems)
+def test_ring_axioms_property(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@given(field_elems)
+def test_inverse_property(x):
+    assume(not x.is_zero())
+    assert x * x.inverse() == FieldElem(1)
+
+
+@given(field_elems, field_elems)
+def test_embed_is_ring_homomorphism_property(a, b):
+    with mp.workdps(60):
+        ea, eb = a.embed(50), b.embed(50)
+        for lhs, rhs in (((a + b).embed(50), ea + eb), ((a * b).embed(50), ea * eb)):
+            assert abs(lhs - rhs) <= mp.mpf("1e-40") * (1 + abs(rhs))

@@ -198,6 +198,81 @@ def test_log_pochhammer_consistent_with_product():
         assert abs(mp.exp(lg) - prod) < mp.mpf("1e-35")
 
 
+def log_pochhammer_by_factors(prefactor, q, digits=40):
+    # reference: one principal log per factor until |prefactor q^n| < 10^-(digits+5)
+    with mp.workdps(digits + 10):
+        qv = mp.mpf(q)
+        c = mp.mpmathify(prefactor)
+        tiny = mp.mpf(10) ** (-(digits + 5))
+        acc = mp.mpc(0)
+        while abs(c) >= tiny:
+            acc += mp.log(1 - c)
+            c *= qv
+        return acc
+
+
+def minor_arc_prefactors(s, v):
+    # numerator -phi e^{-s(1/2 + iv)} and denominator e^{-s(1/2 - iv)}/phi of minor_arc_check
+    phi = (1 + mp.sqrt(5)) / 2
+    return (
+        -phi * mp.exp(-s * (mp.mpf(1) / 2 + 1j * v)),
+        (1 / phi) * mp.exp(-s * (mp.mpf(1) / 2 - 1j * v)),
+    )
+
+
+def assert_matches_factor_by_factor(prefactor, q, digits=40):
+    value = log_pochhammer_inf(prefactor, q, digits)
+    ref = log_pochhammer_by_factors(prefactor, q, digits)
+    with mp.workdps(digits + 10):
+        assert abs(value - ref) <= mp.mpf(10) ** (2 - digits) * abs(ref)
+
+
+@pytest.mark.parametrize("s_str", ["0.05", "0.02"])
+def test_log_pochhammer_matches_factor_by_factor_on_minor_arc(s_str):
+    # |c| = phi and 1/phi, at both ends of the sampled arc s^(-2/3) .. pi/s
+    with mp.workdps(50):
+        s = mp.mpf(s_str)
+        q = mp.exp(-s)
+        for v in (s ** mp.mpf("-2/3"), mp.pi / s):
+            for c in minor_arc_prefactors(s, v):
+                assert_matches_factor_by_factor(c, q)
+
+
+def test_log_pochhammer_matches_factor_by_factor_near_the_switch():
+    with mp.workdps(50):
+        # |c| = 1/2: no factor is logged directly, Euler's series does all of it
+        assert_matches_factor_by_factor(mp.mpf("0.5"), mp.mpf("0.5"))
+        # |c| just above 1/2: one direct log, then the series from |x| = |c| q < 1/2
+        c = mp.mpc("0.3", "0.4000001")
+        assert abs(c) > 0.5
+        assert_matches_factor_by_factor(c, mp.exp(-mp.mpf("0.1")))
+
+
+def test_log_pochhammer_keeps_the_principal_log_branch():
+    # at s = 0.02, v = 40 the sum of principal logs lies six full turns below
+    # arg (c; q)_inf, so no route through log(mp.qp(c, q)) could reproduce it
+    with mp.workdps(50):
+        s = mp.mpf("0.02")
+        q = mp.exp(-s)
+        c = minor_arc_prefactors(s, mp.mpf(40))[0]
+        value = log_pochhammer_inf(c, q, 40)
+        turns = (mp.im(value) - mp.arg(mp.qp(c, q))) / (2 * mp.pi)
+        assert abs(turns + 6) < mp.mpf("1e-35")
+        assert_matches_factor_by_factor(c, q)
+
+
+def test_log_pochhammer_real_part_matches_qp_modulus():
+    # log|(c; q)_inf| from mpmath's product code, at four minor-arc arguments
+    with mp.workdps(50):
+        s = mp.mpf("0.05")
+        q = mp.exp(-s)
+        for v in (s ** mp.mpf("-2/3"), mp.pi / s):
+            for c in minor_arc_prefactors(s, v):
+                value = log_pochhammer_inf(c, q, 40)
+                ref = mp.log(abs(mp.qp(c, q)))
+                assert abs(mp.re(value) - ref) <= mp.mpf("1e-38") * abs(ref)
+
+
 def test_log_poch_check_error_scaling():
     rep = log_poch_check(PHI_INV, 0.0, 2, ["0.1", "0.05"], PrecisionContext(digits=50))
     assert rep.w_label == "1/phi"
