@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import mpmath as mp
 
 from .expansion import compute_expansion
-from .field import FieldElem, MINUS_PHI, PHI_INV
+from .field import FieldElem, MINUS_PHI, PHI, PHI_INV
 from .sequences import polylog_neg
 
 __all__ = [
@@ -381,7 +381,7 @@ def minor_arc_check(
     dps = ctx.digits
     rows = []
     with mp.workdps(dps + 10):
-        phi = PHI_INV.inverse().embed(dps)
+        phi = PHI.embed(dps)
         for s in s_values:
             smp = mp.mpf(s)
             qv = mp.exp(-smp)

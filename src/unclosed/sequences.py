@@ -1,32 +1,48 @@
 """Exact integer and rational sequences feeding the expansion.
 
-Covers Eulerian numbers, Bernoulli numbers (first convention, B_1 = -1/2)
-and their values at 1/2, negative-order polylogarithms as exact rational
-functions, and the combination
+Covers Fibonacci numbers at any integer index, Eulerian numbers, Bernoulli
+numbers (first convention, B_1 = -1/2) and their values at 1/2,
+negative-order polylogarithms as exact rational functions, and the
+combination
 
     polylog_delta(n) = Li_{-n}(1/phi) - (-1)**n * Li_{-n}(-phi)
 
 whose values all lie in Q(sqrt5).  Inversion, Li_{-n}(z) + (-1)**n Li_{-n}(1/z)
 = 0 for n >= 1 (the sum is -1 at n = 0), turns Li_{-n}(-phi) into
 Li_{-n}(-1/phi); duplication, Li_{-n}(z) + Li_{-n}(-z) = 2**(n+1) Li_{-n}(z**2),
-then leaves one polylog at phi**-2 = 1 - 1/phi:
+then leaves one polylog at w = phi**-2:
 
     polylog_delta(n) = 2**(n+1) * Li_{-n}(phi**-2) + [n = 0].
 
-Tables grow on demand and are cached; after construction they are only
-read, so concurrent reads are safe.
+Since 1 - w = 1/phi, the Eulerian form Li_{-n}(w) = sum_k A(n,k) w**(k+1)
+/ (1-w)**(n+1) becomes sum_k A(n,k) phi**(n-2k-1).  Every integer power
+of phi is phi**e = F(e-1) + F(e) phi, with F(-e) = (-1)**(e+1) F(e), and
+phi = (1 + sqrt5)/2, so
+
+    polylog_delta(n) = 2**n (2a + b) + 2**n b sqrt5 + [n = 0],
+    a = sum_k A(n,k) F(n-2k-2),  b = sum_k A(n,k) F(n-2k-1),
+
+a sum of integers with no rational arithmetic at all.  `polylog_neg`
+evaluates the rational form directly at any field argument; it serves the
+numeric checks and is independent of this route.
+
+Bernoulli numbers come from mpmath's exact `bernfrac`.  Tables grow on
+demand and are cached; after construction they are only read, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Tuple
 
-from .field import FieldElem, ONE, PHI_INV, ZERO
+import mpmath as mp
+
+from .field import FieldElem, ONE, ZERO
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
+    "fibonacci",
     "eulerian_row",
     "eulerian_triangle",
     "bernoulli_number",
@@ -42,10 +58,18 @@ __all__ = [
 DEFAULT_MAX_ORDER = 64
 
 
+_fibonacci: list = [0, 1]
 _eulerian_rows: list = [(1,)]
 _bernoulli: list = [Fraction(1)]
 _delta_values: list = []
-_PHI_INV_SQ = PHI_INV * PHI_INV
+
+
+def fibonacci(n: int) -> int:
+    """F(n) for every integer n: F(0) = 0, F(1) = 1, F(-n) = (-1)**(n+1) F(n)."""
+    k = abs(n)
+    while len(_fibonacci) <= k:
+        _fibonacci.append(_fibonacci[-1] + _fibonacci[-2])
+    return -_fibonacci[k] if n < 0 and k % 2 == 0 else _fibonacci[k]
 
 
 def eulerian_row(n: int) -> Tuple[int, ...]:
@@ -73,15 +97,11 @@ def eulerian_triangle(max_order: int = 16) -> Tuple[Tuple[int, ...], ...]:
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """Exact B_n via the recurrence sum_{j<=n} C(n+1, j) B_j = 0."""
+    """Exact B_n, from mpmath's exact numerator and denominator."""
     if n < 0:
         raise ValueError("n must be >= 0")
     while len(_bernoulli) <= n:
-        m = len(_bernoulli)
-        acc = Fraction(0)
-        for j, bj in enumerate(_bernoulli):
-            acc += comb(m + 1, j) * bj
-        _bernoulli.append(-acc / (m + 1))
+        _bernoulli.append(Fraction(*mp.bernfrac(len(_bernoulli))))
     return _bernoulli[n]
 
 
@@ -124,7 +144,8 @@ def polylog_neg(n: int, w: FieldElem) -> FieldElem:
 def polylog_delta(n: int) -> FieldElem:
     """Li_{-n}(1/phi) - (-1)**n Li_{-n}(-phi); exact, cached, in Q(sqrt5).
 
-    Computed as 2**(n+1) * Li_{-n}(phi**-2) + [n = 0]; see the module docstring.
+    Computed from integer Fibonacci sums over the Eulerian row; see the
+    module docstring.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -132,8 +153,10 @@ def polylog_delta(n: int) -> FieldElem:
         raise ValueError(f"order {n} exceeds the configured cap {DEFAULT_MAX_ORDER}")
     while len(_delta_values) <= n:
         m = len(_delta_values)
-        value = polylog_neg(m, _PHI_INV_SQ) * 2 ** (m + 1)
-        _delta_values.append(value + ONE if m == 0 else value)
+        row = eulerian_row(m)
+        a = sum(c * fibonacci(m - 2 * k - 2) for k, c in enumerate(row))
+        b = sum(c * fibonacci(m - 2 * k - 1) for k, c in enumerate(row))
+        _delta_values.append(FieldElem(2**m * (2 * a + b) + (m == 0), 2**m * b))
     return _delta_values[n]
 
 

@@ -56,12 +56,15 @@ def test_fit_recovers_synthetic_geometric_data():
     assert abs(front - 3) < 1e-15
 
 
-def delta_residue_sum(n, digits=30, max_m=20000):
+def delta_residue_sum(n, digits=30, max_m=200):
     """Independent evaluation of polylog_delta(n) from the pole expansion.
 
     Uses Li_{-d}(e^{-mu}) = d! * sum_{m in Z} (2 pi i m + mu)^{-(d+1)} at
     mu = log(phi) and mu = pi*i - log(phi); the two sums combine to the
-    delta value.  Symmetric truncation at |m| <= max_m.
+    delta value.  The poles with |m| <= max_m are summed one by one; with
+    p = d + 1 and a = mu/(2 pi i), the two tails |m| > max_m are
+    (2 pi i)^{-p} (zeta(p, max_m+1+a) + (-1)^p zeta(p, max_m+1-a)) in
+    closed form by the Hurwitz zeta function.
     """
     if n < 1:
         raise ValueError("pole expansion check needs n >= 1")
@@ -70,13 +73,16 @@ def delta_residue_sum(n, digits=30, max_m=20000):
         mu1 = mp.mpc(logphi, 0)
         mu2 = mp.mpc(-logphi, mp.pi)
         p = n + 1
+        two_pi_i = mp.mpc(0, 2 * mp.pi)
 
         def pole_sum(mu):
             total = mu ** (-p)
             for m in range(1, max_m + 1):
-                total += (mp.mpc(0, 2 * mp.pi * m) + mu) ** (-p)
-                total += (mp.mpc(0, -2 * mp.pi * m) + mu) ** (-p)
-            return total
+                total += (two_pi_i * m + mu) ** (-p)
+                total += (-two_pi_i * m + mu) ** (-p)
+            a = mu / two_pi_i
+            tails = mp.zeta(p, max_m + 1 + a) + (-1) ** p * mp.zeta(p, max_m + 1 - a)
+            return total + two_pi_i ** (-p) * tails
 
         li_phi_inv = mp.factorial(n) * pole_sum(mu1)
         li_minus_phi = mp.factorial(n) * pole_sum(mu2)
@@ -85,7 +91,7 @@ def delta_residue_sum(n, digits=30, max_m=20000):
 
 
 def test_pole_sum_cross_check():
-    approx = delta_residue_sum(5, digits=30, max_m=20000)
+    approx = delta_residue_sum(5, digits=30, max_m=200)
     exact = polylog_delta(5).embed(40)
     with mp.workdps(40):
         assert abs(approx - exact) < mp.mpf("1e-20")

@@ -13,6 +13,7 @@ from unclosed.sequences import (
     bernoulli_numbers,
     eulerian_row,
     eulerian_triangle,
+    fibonacci,
     polylog_delta,
     polylog_delta_table,
     polylog_neg,
@@ -27,6 +28,19 @@ def descents_count(n, k):
         if d == k:
             total += 1
     return total
+
+
+def test_fibonacci_at_negative_and_positive_indices():
+    values = {n: fibonacci(n) for n in range(-70, 71)}
+    assert all(type(v) is int for v in values.values())
+    assert [values[n] for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+    for n in range(-68, 71):
+        assert values[n] == values[n - 1] + values[n - 2], n
+    for n in range(71):
+        assert values[-n] == (-1) ** (n + 1) * values[n], n
+    # phi**n = F(n-1) + F(n) phi for every integer n
+    for n in range(-20, 21):
+        assert PHI**n == FieldElem(values[n - 1]) + PHI * values[n], n
 
 
 def test_eulerian_small_rows():
@@ -66,12 +80,14 @@ def test_bernoulli_values():
 
 
 def test_bernoulli_recurrence_invariant():
-    table = bernoulli_numbers(20)
-    assert len(table) == 21
-    for n in range(1, 20):
+    # the table comes from mpmath; the defining recurrence is the oracle
+    table = bernoulli_numbers(64)
+    assert len(table) == 65
+    assert all(type(b) is Fraction for b in table)
+    for n in range(1, 65):
         acc = sum(math.comb(n + 1, j) * table[j] for j in range(n + 1))
-        assert acc == 0
-    for m in range(1, 10):
+        assert acc == 0, n
+    for m in range(1, 32):
         assert table[2 * m + 1] == 0
 
 
@@ -182,6 +198,13 @@ def test_delta_matches_two_polylog_definition():
     for n in range(DEFAULT_MAX_ORDER + 1):
         want = polylog_neg(n, PHI_INV) - polylog_neg(n, MINUS_PHI) * (-1) ** n
         assert polylog_delta(n) == want, n
+
+
+def test_delta_coordinates_are_integers():
+    # the Fibonacci route sums integers only, so no denominator can appear
+    for n in range(DEFAULT_MAX_ORDER + 1):
+        v = polylog_delta(n)
+        assert v.p.denominator == 1 and v.q.denominator == 1, n
 
 
 def test_delta_table_caps():
