@@ -6,14 +6,17 @@ under a formal log, all as exact elements of Q(sqrt5), together with
 decimal renderings and growth statistics.  Computing b_1..b_J requires
 the exponent series truncated at t**(2J) with summands up to index 2J+1.
 
-Exact results are cached per order; repeated runs are bit-identical.
+Only the largest order built so far is cached, and a smaller order is its
+prefix: summand k of the exponent first enters at t**(k-1), so truncation
+touches only powers above t**(2J), and c_j reads only b_0..b_j.  Repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Optional, Tuple
 
 import mpmath as mp
 
@@ -24,8 +27,8 @@ __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assemble
 
 SCHEMA_VERSION = 1
 
-_series_cache: Dict[int, PuiseuxSeries] = {}
-_exact_cache: Dict[int, Tuple[Tuple[FieldElem, ...], Tuple[FieldElem, ...]]] = {}
+# the largest order built so far: (assembled series, b_0..b_J, c_1..c_J)
+_prefix: Optional[Tuple[PuiseuxSeries, Tuple[FieldElem, ...], Tuple[FieldElem, ...]]] = None
 
 
 @dataclass(frozen=True)
@@ -41,21 +44,14 @@ class ExpansionResult:
     growth: Tuple[float, ...]  # |b_j|**(1/j) for j = 1 .. J
 
 
-def assembled_series(max_order: int) -> PuiseuxSeries:
-    """exp(exponent series + damping) truncated at t**(2*max_order), cached."""
+def _build(max_order: int):
+    """The cache entry, rebuilt from scratch when `max_order` exceeds its order."""
+    global _prefix
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if max_order not in _series_cache:
+    if _prefix is None or len(_prefix[2]) < max_order:
         trunc = 2 * max_order
-        core = exponent_series(2 * max_order + 1, trunc) + damping_term(trunc)
-        _series_cache[max_order] = core.exp()
-    return _series_cache[max_order]
-
-
-def _exact_coefficients(max_order: int):
-    if max_order not in _exact_cache:
-        trunc = 2 * max_order
-        total = assembled_series(max_order)
+        total = (exponent_series(2 * max_order + 1, trunc) + damping_term(trunc)).exp()
         b = []
         for m in range(trunc + 1):
             val = gaussian_integrate(total.coeff(m))
@@ -75,17 +71,23 @@ def _exact_coefficients(max_order: int):
             if p.degree > 0:
                 raise ArithmeticError("log series coefficient is not constant in w")
             c.append(p.coeff(0))
-        _exact_cache[max_order] = (tuple(b), tuple(c))
-    return _exact_cache[max_order]
+        _prefix = (total, tuple(b), tuple(c))
+    return _prefix
+
+
+def assembled_series(max_order: int) -> PuiseuxSeries:
+    """exp(exponent series + damping) truncated at t**(2*max_order)."""
+    total = _build(max_order)[0]
+    trunc = 2 * max_order
+    return PuiseuxSeries(trunc, {m: p for m, p in total.terms.items() if m <= trunc})
 
 
 def compute_expansion(max_order: int, precision: int = 30) -> ExpansionResult:
     """Exact expansion through order `max_order`, with floats at `precision` digits."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    b, c = _exact_coefficients(max_order)
+    _, b, c = _build(max_order)
+    b, c = b[: max_order + 1], c[:max_order]
     with mp.workdps(precision + 10):
         b_num = [x.embed(precision) for x in b]
         c_num = [x.embed(precision) for x in c]

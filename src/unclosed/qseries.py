@@ -293,9 +293,8 @@ def log_poch_check(
     N: int,
     s_grid: Sequence[Union[str, float]],
     ctx: PrecisionContext = PrecisionContext(digits=50),
-    sign: int = 1,
 ) -> LogPochReport:
-    """Compare log((w e^{-s(1/2 + sign*i*v)}; e^{-s})_inf) with its truncation.
+    """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation.
 
     The truncation keeps orders k = -1..N: the k = -1 and k = 0 terms need
     numeric Li_2(w) and Li_1(w) = -log(1 - w); every k >= 1 uses the exact
@@ -307,8 +306,6 @@ def log_poch_check(
         label = "-phi"
     else:
         raise ValueError("w must be one of the two golden-ratio arguments")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     if N < 1:
         raise ValueError("N must be >= 1")
     if any(not 0 < float(mp.mpf(s)) <= 0.2 for s in s_grid):
@@ -318,8 +315,8 @@ def log_poch_check(
         wn = w.embed(dps)
         li2_w = mp.polylog(2, wn)
         li1_w = -mp.log1p(-wn)
-        # B_{k+1}(1/2 + i*sign*v) does not depend on s
-        x = mp.mpc(mp.mpf(1) / 2, sign * v)
+        # B_{k+1}(1/2 + i*v) does not depend on s
+        x = mp.mpc(mp.mpf(1) / 2, v)
         exact_terms = [
             (k, polylog_neg(k - 1, w).embed(dps), mp.bernpoly(k + 1, x))
             for k in range(1, N + 1)
@@ -328,9 +325,9 @@ def log_poch_check(
         for s in s_grid:
             smp = mp.mpf(s)
             qv = mp.exp(-smp)
-            pref = wn * mp.exp(-smp * (mp.mpf(1) / 2 + sign * mp.mpc(0, 1) * v))
+            pref = wn * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * v))
             direct = log_pochhammer_inf(pref, qv, dps)
-            trunc = -li2_w / smp + li1_w * sign * mp.mpc(0, 1) * v
+            trunc = -li2_w / smp + li1_w * mp.mpc(0, 1) * v
             for k, xv, bval in exact_terms:
                 trunc += xv * (-smp) ** k * bval / factorial(k + 1)
             rows.append(
@@ -366,30 +363,24 @@ class MinorArcReport:
     arc_condition_alt: str
 
 
-def minor_arc_check(
-    s_values: Sequence[Union[str, float]] = ("0.05", "0.02"),
-    v_factors: Sequence[float] = (1.0, 2.0, 5.0),
-    include_endpoint: bool = True,
-    ctx: PrecisionContext = PrecisionContext(digits=40),
-) -> MinorArcReport:
+def minor_arc_check() -> MinorArcReport:
     """Check |quotient| <= C * exp(pi**2/(5s) - sqrt5/(2 s**(1/3))) on the arc.
 
-    Samples |v| from the arc boundary s**(-2/3) (the split actually used;
-    the alternative reading with s**(+2/3) is recorded alongside) up to the
-    endpoint pi/s, and reports the fitted constant C.
+    Samples |v| at 1, 2 and 5 times the arc boundary s**(-2/3) (the split
+    actually used; the alternative reading with s**(+2/3) is recorded
+    alongside) and at the endpoint pi/s, for s = 0.05 and 0.02 at 40 digits,
+    and reports the fitted constant C.
     """
-    dps = ctx.digits
+    dps = 40
     rows = []
     with mp.workdps(dps + 10):
         phi = PHI.embed(dps)
-        for s in s_values:
+        for s in ("0.05", "0.02"):
             smp = mp.mpf(s)
             qv = mp.exp(-smp)
             v_low = smp ** mp.mpf("-2/3")
             v_end = mp.pi / smp
-            samples = sorted({min(f * v_low, v_end) for f in v_factors})
-            if include_endpoint:
-                samples.append(v_end)
+            samples = sorted({min(f * v_low, v_end) for f in (1.0, 2.0, 5.0)}) + [v_end]
             for vv in samples:
                 num = log_pochhammer_inf(-phi * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * vv)), qv, dps)
                 den = log_pochhammer_inf(

@@ -53,8 +53,8 @@ __all__ = [
     "polylog_delta_table",
 ]
 
-# Orders beyond this are refused by the table constructors; the expansion
-# pipeline never needs more and exact coefficients grow factorially.
+# Cap on the table functions (four times it for Bernoulli numbers), which
+# `tables` prints; the single-value functions grow on demand with no cap.
 DEFAULT_MAX_ORDER = 64
 
 
@@ -149,8 +149,6 @@ def polylog_delta(n: int) -> FieldElem:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > DEFAULT_MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the configured cap {DEFAULT_MAX_ORDER}")
     while len(_delta_values) <= n:
         m = len(_delta_values)
         row = eulerian_row(m)

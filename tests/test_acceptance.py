@@ -73,7 +73,7 @@ def test_ac10_fails_on_wrong_moment_sign(monkeypatch):
     # the ungraded numeric route, so AC-10 must fail
     monkeypatch.setattr(series, "_W2", -series._W2)
     monkeypatch.setattr(series, "_moment_cache", [ONE])
-    monkeypatch.setattr(expansion, "_exact_cache", {})
+    monkeypatch.setattr(expansion, "_prefix", None)
     result = run_suite("parity")
     assert not result.ok
     assert result.details == [

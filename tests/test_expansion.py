@@ -1,12 +1,16 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unclosed import expansion
 from unclosed.expansion import assembled_series, compute_expansion, render_expansion
 from unclosed.field import FieldElem, ONE, SQRT5
-from unclosed.series import PuiseuxSeries, VPoly
+from unclosed.series import PuiseuxSeries, VPoly, exponent_series
 
 
 def test_b0_and_b1_exact():
@@ -173,3 +177,50 @@ def test_truncation_discipline_captures_all_summands():
     base = (exponent_series(2 * J + 1, trunc) + damping_term(trunc)).exp()
     more = (exponent_series(2 * J + 4, trunc) + damping_term(trunc)).exp()
     assert base == more
+
+
+def _cold(order):
+    # empty the cache first, so the build cannot be served from an earlier one
+    expansion._prefix = None
+    return compute_expansion(order), assembled_series(order)
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 15).flatmap(lambda j1: st.tuples(st.just(j1), st.integers(j1 + 1, 16))))
+def test_smaller_order_is_prefix_of_larger(orders):
+    j1, j2 = orders
+    small, small_series = _cold(j1)
+    _cold(j2)
+    sliced = compute_expansion(j1)
+    assert sliced.b == small.b and sliced.c == small.c
+    assert assembled_series(j1) == small_series
+
+
+def test_smaller_order_after_larger_reuses_cache(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exponent_series(*args)
+
+    monkeypatch.setattr(expansion, "_prefix", None)
+    monkeypatch.setattr(expansion, "exponent_series", counting)
+    compute_expansion(24)
+    assert len(calls) == 1
+    warm = render_expansion(compute_expansion(12))
+    assert len(calls) == 1
+    expansion._prefix = None
+    assert render_expansion(compute_expansion(12)) == warm
+    assert len(calls) == 2
+
+
+def test_order_40_matches_reference_prefix(monkeypatch):
+    ref = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "coeffs-24.json"
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    monkeypatch.setattr(expansion, "_prefix", None)
+    r = compute_expansion(40)
+    assert len(r.b) == 41 and len(r.c) == 40
+    for got, want in ((r.b, doc["b"]), (r.c, doc["c"])):
+        assert len(want) < len(got)
+        for x, row in zip(got, want):
+            assert x == FieldElem(Fraction(row["p"]), Fraction(row["q"])), row["j"]

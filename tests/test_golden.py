@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from unclosed import cli
+from unclosed import cli, expansion
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 TESTS_REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
@@ -37,6 +37,13 @@ def _check(capsys, argv, path):
 )
 def test_cli_output_matches_reference(capsys, argv, name):
     _check(capsys, argv, REFERENCE_DIR / name)
+
+
+def test_coeffs_12_after_24_in_one_process(capsys, monkeypatch):
+    # order 12 is then sliced from the order-24 cache entry
+    monkeypatch.setattr(expansion, "_prefix", None)
+    _check(capsys, ["coeffs", "--max-order", "24"], REFERENCE_DIR / "coeffs-24.json")
+    _check(capsys, ["coeffs", "--max-order", "12"], REFERENCE_DIR / "coeffs-12.json")
 
 
 @pytest.mark.parametrize(

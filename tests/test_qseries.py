@@ -299,8 +299,6 @@ def test_log_poch_check_other_argument_and_nonzero_v():
     with pytest.raises(ValueError):
         log_poch_check(SQRT5, 0.0, 2, ["0.1"])
     with pytest.raises(ValueError):
-        log_poch_check(PHI_INV, 0.0, 2, ["0.1"], sign=2)
-    with pytest.raises(ValueError):
         log_poch_check(PHI_INV, 0.0, 2, ["0.5"])
 
 

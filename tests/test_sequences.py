@@ -195,7 +195,8 @@ def test_delta_table_values():
 
 def test_delta_matches_two_polylog_definition():
     # polylog_delta uses one polylog at phi**-2; compare with the defining pair
-    for n in range(DEFAULT_MAX_ORDER + 1):
+    # through n = 80, which the order-40 expansion reads
+    for n in range(81):
         want = polylog_neg(n, PHI_INV) - polylog_neg(n, MINUS_PHI) * (-1) ** n
         assert polylog_delta(n) == want, n
 
@@ -208,10 +209,13 @@ def test_delta_coordinates_are_integers():
 
 
 def test_delta_table_caps():
+    # the table stops at the cap; single values grow past it on demand
     with pytest.raises(ValueError):
-        polylog_delta(DEFAULT_MAX_ORDER + 1)
+        polylog_delta_table(DEFAULT_MAX_ORDER + 1)
     with pytest.raises(ValueError):
         polylog_delta(-1)
+    v = polylog_delta(DEFAULT_MAX_ORDER + 1)
+    assert v.p.denominator == 1 and v.q.denominator == 1
 
 
 def test_index_minus_one_vanishes_numerically():
