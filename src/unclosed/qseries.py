@@ -81,9 +81,19 @@ def _context_for(s: Union[str, float], out_digits: int = 10) -> PrecisionContext
 def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
     """Direct summation of F(exp(-s)) and the number of terms summed.
 
+    The partial sum is kept as one fraction num / p2 with p2 = (q;q)_m**2:
+    term m multiplies both by a2 = (1 - q**m)**2 and adds q**(m(m+1)/2) to
+    num, so each term costs four multiplies and a square, and only the
+    final num / p2 divides.
+
     All terms are positive.  Summation stops after five successive terms
     that each fall below the one before and below 10**-digits times the
-    running total.
+    running total.  The term ratio r_m = q**m / (1 - q**m)**2 falls as m
+    grows, so the terms rise to one peak (r_m = 1, m = 2 ln(phi) / s) and
+    then fall ever faster.  The streak therefore ends past the peak, and
+    everything after the last term M is below term_M r / (1 - r) with
+    r = r_(M+1) < 1: at s = 0.001, r is 0.09, so the tail is below
+    0.11 term_M, and term_M is itself below 10**-digits times the sum.
     """
     with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
@@ -95,42 +105,47 @@ def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
                 f"s={s} needs at least {need} digits, context has {ctx.digits}"
             )
         q = mp.exp(-smp)
-        total = mp.mpf(1)  # m = 0 term
         qpow_m = mp.mpf(1)  # q**m
         qtri = mp.mpf(1)  # q**(m(m+1)/2)
-        poch = mp.mpf(1)  # (q; q)_m
+        p2 = mp.mpf(1)  # (q; q)_m**2
+        num = mp.mpf(1)  # the sum of terms 0..m times p2
         rel = mp.mpf(10) ** (-ctx.digits)
-        terms = 1
-        prev = mp.mpf(1)
+        rel_mag = mp.mag(rel)
         small_streak = 0
         m = 0
         while True:
             m += 1
             qpow_m *= q
             qtri *= qpow_m
-            poch *= 1 - qpow_m
-            term = qtri / (poch * poch)
-            total += term
-            terms += 1
-            # terms rise then fall; require sustained decay below threshold
-            if term < prev and term < total * rel:
+            a2 = (1 - qpow_m) ** 2
+            p2 *= a2
+            num = num * a2 + qtri
+            # term_m < term_(m-1) is q**m < a2, and term_m < total * rel is
+            # qtri < num * rel.  A nonzero mpf x has 2**(mag(x)-1) <= |x| <
+            # 2**mag(x), so the exponents decide the second test unless
+            # gap is -1 or 0; only then is the product needed.
+            gap = mp.mag(qtri) - mp.mag(num) - rel_mag
+            if qpow_m < a2 and (gap < -1 or (gap <= 0 and qtri < num * rel)):
                 small_streak += 1
                 if small_streak >= 5:
                     break
             else:
                 small_streak = 0
-            prev = term
             if m > 2_000_000:  # pragma: no cover - defensive cap
                 raise ArithmeticError("series did not reach the stopping rule")
-        return total, terms
+        return num / p2, m + 1
+
+
+def _normalize(value: mp.mpf, smp: mp.mpf) -> mp.mpf:
+    # value * sqrt(2 pi sqrt5 / s) * exp(-pi**2/(5 s)), at the caller's precision
+    return value * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
 
 
 def normalized_remainder(s, ctx: PrecisionContext) -> mp.mpf:
     """F(exp(-s)) * sqrt(2 pi sqrt5 / s) * exp(-pi**2/(5 s)); tends to 1 as s -> 0."""
     value, _ = f_direct(s, ctx)
     with mp.workdps(ctx.digits + GUARD_DIGITS):
-        smp = mp.mpf(s)
-        return value * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
+        return _normalize(value, mp.mpf(s))
 
 
 @dataclass(frozen=True)
@@ -156,7 +171,7 @@ def eval_report(s, order: int = 2, ctx: Optional[PrecisionContext] = None) -> Ev
     F, terms = f_direct(s, ctx)
     with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
-        remainder = F * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
+        remainder = _normalize(F, smp)
         result = compute_expansion(order, precision=min(ctx.digits, 60))
         asym = mp.mpf(1)
         for j in range(1, order + 1):

@@ -5,6 +5,7 @@ import pytest
 
 from unclosed.field import MINUS_PHI, PHI_INV, SQRT5
 from unclosed.qseries import (
+    GUARD_DIGITS,
     ConstantTermReport,
     PrecisionContext,
     PrecisionError,
@@ -92,6 +93,84 @@ def test_f_direct_precision_policy_enforced():
         f_direct("0.02", PrecisionContext(digits=40))  # needs ~83 digits
     with pytest.raises(ValueError):
         f_direct("-0.1", PrecisionContext(digits=50))
+
+
+def f_direct_by_terms(s, digits):
+    # reference: the per-term loop, one division per term and a running total
+    with mp.workdps(digits + GUARD_DIGITS):
+        q = mp.exp(-mp.mpf(s))
+        total = mp.mpf(1)
+        qpow_m = mp.mpf(1)
+        qtri = mp.mpf(1)
+        poch = mp.mpf(1)
+        rel = mp.mpf(10) ** (-digits)
+        terms = 1
+        prev = mp.mpf(1)
+        small_streak = 0
+        while small_streak < 5:
+            qpow_m *= q
+            qtri *= qpow_m
+            poch *= 1 - qpow_m
+            term = qtri / (poch * poch)
+            total += term
+            terms += 1
+            if term < prev and term < total * rel:
+                small_streak += 1
+            else:
+                small_streak = 0
+            prev = term
+        return total, terms
+
+
+def policy_context(s):
+    return PrecisionContext(digits=max(30, required_digits(s, 10)))
+
+
+@pytest.mark.parametrize("s", ["0.001", "0.0023", "0.01", "0.05", "0.3", "1", "5", "20"])
+def test_f_direct_matches_the_per_term_loop(s):
+    ctx = policy_context(s)
+    value, terms = f_direct(s, ctx)
+    ref, ref_terms = f_direct_by_terms(s, ctx.digits)
+    assert terms == ref_terms
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
+        assert abs(value - ref) <= mp.mpf(10) ** (-ctx.digits) * ref
+
+
+def test_f_direct_stops_where_the_per_term_loop_stops():
+    # 30 log-spaced s in [0.02, 20], each at 40 digit counts from the policy's
+    # up: the exponent shortcut in the stopping test must decide as the
+    # product does, also in the few cases where the exponents alone cannot
+    for k in range(30):
+        s = mp.nstr(mp.mpf("0.02") * mp.mpf(1000) ** (mp.mpf(k) / 29), 12)
+        low = max(30, required_digits(s))
+        for digits in range(low, low + 40):
+            terms = f_direct(s, PrecisionContext(digits=digits))[1]
+            assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
+
+
+@pytest.mark.parametrize("s", ["0.002", "0.01", "0.1", "0.5", "5", "20"])
+def test_f_direct_tail_after_the_stop_is_below_the_tolerance(s):
+    # past the peak the term ratio r_m = q^m / (1 - q^m)^2 falls, so the sum
+    # after the last term M is below term_M r / (1 - r) with r = r_(M+1)
+    ctx = policy_context(s)
+    value, terms = f_direct(s, ctx)
+    M = terms - 1
+    with mp.workdps(ctx.digits + GUARD_DIGITS):
+        q = mp.exp(-mp.mpf(s))
+        term_M = q ** (M * (M + 1) // 2) / mp.qp(q, q, M) ** 2
+        r = q ** (M + 1) / (1 - q ** (M + 1)) ** 2
+        assert r < 1
+        assert term_M * r / (1 - r) < mp.mpf(10) ** (-ctx.digits) * value
+
+
+def test_f_direct_agrees_with_a_run_at_more_digits():
+    # the policy's digits at s = 0.001 against 40 more: measured 1.1e-914
+    rep = eval_report("0.001")
+    assert rep.digits == 908
+    assert rep.terms_used == 2552
+    wide, _ = f_direct("0.001", PrecisionContext(digits=948))
+    with mp.workdps(960):
+        assert abs(rep.F_value - wide) <= mp.mpf(10) ** -908 * wide
 
 
 def test_remainder_tends_to_one():
