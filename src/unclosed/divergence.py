@@ -45,7 +45,7 @@ def normalized_polylog_delta(n: int, digits: int = 50) -> mp.mpf:
     """polylog_delta(n) * log(phi)**(n+1) / n!; approaches 1 as n grows."""
     exact = polylog_delta(n)
     with mp.workdps(digits + 10):
-        logphi = mp.log((1 + mp.sqrt(5)) / 2)
+        logphi = mp.log(mp.phi)
         return exact.embed(digits + 10) * logphi ** (n + 1) / mp.factorial(n)
 
 
@@ -67,21 +67,17 @@ _weight_cache: Dict[int, list] = {}
 
 
 def bernoulli_weight(m: int, digits: int = 30) -> mp.mpf:
-    """Zeta-normalized Bernoulli weight: (1 - 2**(1-m)) * zeta(m) for m >= 2.
+    """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m).
 
-    At even m this equals B_m(1/2) * (2 pi)**m / (2 * m! * cos(pi m / 2));
-    at odd m both that numerator and denominator vanish, and this analytic
-    extension (the Dirichlet eta value) is used instead.  m = 1 gives
-    log 2 and m = 0 gives 1/2.  All values tend to 1 like 2**-m.
+    At even m >= 2 this equals B_m(1/2) * (2 pi)**m / (2 * m! * cos(pi m / 2));
+    at odd m both that numerator and denominator vanish, and eta(m) =
+    (1 - 2**(1-m)) * zeta(m) extends it.  eta(1) = log 2 and eta(0) = 1/2.
+    All values tend to 1 like 2**-m.  mpmath's `altzeta` computes eta.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     with mp.workdps(digits + 10):
-        if m == 0:
-            return mp.mpf(1) / 2
-        if m == 1:
-            return mp.log(2)
-        return (1 - mp.mpf(2) ** (1 - m)) * mp.zeta(m)
+        return mp.altzeta(m)
 
 
 def _weights_through(k: int, digits: int) -> list:
@@ -167,7 +163,7 @@ def cosh_limit_check(
         a = mp.mpf(alpha)
         if not 0 < a < 1:
             raise ValueError("alpha must be in (0, 1)")
-        logphi = mp.log((1 + mp.sqrt(5)) / 2)
+        logphi = mp.log(mp.phi)
         s = 2 * mp.pi * logphi * a
         for lv in l_values:
             if lv < 1:

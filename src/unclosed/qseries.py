@@ -24,7 +24,6 @@ import mpmath as mp
 
 from .expansion import compute_expansion
 from .field import FieldElem, MINUS_PHI, PHI, PHI_INV
-from .sequences import polylog_neg
 
 __all__ = [
     "PrecisionContext",
@@ -311,9 +310,10 @@ def log_poch_check(
 ) -> LogPochReport:
     """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation.
 
-    The truncation keeps orders k = -1..N: the k = -1 and k = 0 terms need
-    numeric Li_2(w) and Li_1(w) = -log(1 - w); every k >= 1 uses the exact
-    rational polylog values.  Expected error decay is s**(N+1) at fixed v.
+    The truncation keeps orders k = -1..N of
+    sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!, with every
+    polylog from mpmath: k = -1 gives -Li_2(w)/s and k = 0 gives
+    Li_1(w) * i*v.  Expected error decay is s**(N+1) at fixed v.
     """
     if w == PHI_INV:
         label = "1/phi"
@@ -328,13 +328,11 @@ def log_poch_check(
     dps = ctx.digits
     with mp.workdps(dps + 10):
         wn = w.embed(dps)
-        li2_w = mp.polylog(2, wn)
-        li1_w = -mp.log1p(-wn)
         # B_{k+1}(1/2 + i*v) does not depend on s
         x = mp.mpc(mp.mpf(1) / 2, v)
-        exact_terms = [
-            (k, polylog_neg(k - 1, w).embed(dps), mp.bernpoly(k + 1, x))
-            for k in range(1, N + 1)
+        terms = [
+            (k, mp.polylog(1 - k, wn) * mp.bernpoly(k + 1, x) / factorial(k + 1))
+            for k in range(-1, N + 1)
         ]
         rows = []
         for s in s_grid:
@@ -342,9 +340,7 @@ def log_poch_check(
             qv = mp.exp(-smp)
             pref = wn * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * v))
             direct = log_pochhammer_inf(pref, qv, dps)
-            trunc = -li2_w / smp + li1_w * mp.mpc(0, 1) * v
-            for k, xv, bval in exact_terms:
-                trunc += xv * (-smp) ** k * bval / factorial(k + 1)
+            trunc = sum((c * (-smp) ** k for k, c in terms), mp.mpc(0))
             rows.append(
                 LogPochRow(
                     s=str(s), direct=direct, truncated=trunc, abs_err=abs(direct - trunc)
@@ -352,7 +348,7 @@ def log_poch_check(
             )
         ratios = []
         for a, b in zip(rows, rows[1:]):
-            if mp.mpf(b.s) > 0 and b.abs_err > 0:
+            if b.abs_err > 0:
                 ratios.append(float(a.abs_err / b.abs_err))
     return LogPochReport(
         w_label=label, v=v, order=N, rows=tuple(rows), halving_ratios=tuple(ratios)
@@ -426,93 +422,43 @@ def minor_arc_check() -> MinorArcReport:
 # ----------------------------------------------------------------------
 
 
-def _poly_mul_trunc(a: List[int], b: List[int], n: int) -> List[int]:
-    out = [0] * (min(len(a) + len(b) - 1, n + 1))
-    for i, ai in enumerate(a):
-        if not ai or i > n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_inv_trunc(a: List[int], n: int) -> List[int]:
-    # inverse of a power series with a[0] == 1; stays integral
-    if not a or a[0] != 1:
-        raise ValueError("series inverse needs constant term 1")
-    inv = [0] * (n + 1)
-    inv[0] = 1
-    for t in range(1, n + 1):
-        acc = 0
-        for r in range(1, min(t, len(a) - 1) + 1):
-            acc += a[r] * inv[t - r]
-        inv[t] = -acc
-    return inv
+def _add_shifted(dst: List[int], src: List[int], shift: int) -> None:
+    # dst[e] += src[e - shift] in ascending e; with src is dst this is a
+    # running sum with stride shift, i.e. division by 1 - q**shift
+    for e in range(shift, len(dst)):
+        dst[e] += src[e - shift]
 
 
 def _f_series_coeffs(M: int) -> List[int]:
-    # direct q-expansion of sum_m q^(m(m+1)/2) / (q;q)_m**2
-    res = [0] * (M + 1)
+    # direct q-expansion of sum_m q^(m(m+1)/2) / (q;q)_m**2; inv is 1/(q;q)_m**2
+    res, inv = [0] * (M + 1), [1] + [0] * M
     m = 0
     while m * (m + 1) // 2 <= M:
-        tri = m * (m + 1) // 2
-        budget = M - tri
-        poch = [1]
-        for n in range(1, m + 1):
-            if n > budget:
-                break
-            nxt = poch + [0] * min(n, budget + 1 - len(poch))
-            nxt = nxt[: budget + 1]
-            for i, c in enumerate(poch):
-                if i + n <= budget:
-                    nxt[i + n] -= c
-            poch = nxt
-        inv = _poly_inv_trunc(poch, budget)
-        sq = _poly_mul_trunc(inv, inv, budget)
-        for t, c in enumerate(sq):
-            res[tri + t] += c
+        _add_shifted(res, inv, m * (m + 1) // 2)
         m += 1
+        _add_shifted(inv, inv, m)
+        _add_shifted(inv, inv, m)
     return res
 
 
 def _constant_term_coeffs(M: int) -> Tuple[List[int], bool]:
     # [z^0] of prod (1 + z^-1 q^(n+1/2)) * prod 1/(1 - z q^(n+1/2)), with
-    # q exponents tracked in half-integer units (doubled to stay integral)
+    # q exponents tracked in half-integer units (doubled to stay integral);
+    # rows[i] holds the coefficients of z**(i - zmax)
     zmax = (isqrt(8 * M + 1) - 1) // 2
-    e_cap = 2 * M
-    state = {0: [1] + [0] * e_cap}
-    for n in range(M + 1):
-        step = 2 * n + 1
-        if step > e_cap:
-            break
-        # multiply by (1 + z^-1 q^(step/2))
-        nxt = {zp: row[:] for zp, row in state.items()}
-        for zp, row in state.items():
-            if zp - 1 < -zmax:
-                continue
-            dst = nxt.setdefault(zp - 1, [0] * (e_cap + 1))
-            for e, c in enumerate(row):
-                if c and e + step <= e_cap:
-                    dst[e + step] += c
-        state = nxt
-    for n in range(M + 1):
-        step = 2 * n + 1
-        if step > e_cap:
-            break
-        # multiply by sum_r z^r q^(r*step/2)
-        nxt = {zp: row[:] for zp, row in state.items()}
-        for zp, row in state.items():
-            r = 1
-            while zp + r <= zmax and r * step <= e_cap:
-                dst = nxt.setdefault(zp + r, [0] * (e_cap + 1))
-                for e, c in enumerate(row):
-                    if c and e + r * step <= e_cap:
-                        dst[e + r * step] += c
-                r += 1
-        state = nxt
-    row = state.get(0, [0] * (e_cap + 1))
+    rows = [[0] * (2 * M + 1) for _ in range(2 * zmax + 1)]
+    rows[zmax][0] = 1
+    steps = range(1, 2 * M + 1, 2)
+    for step in steps:
+        # multiply by (1 + z^-1 q^(step/2)): row z adds into row z - 1; in
+        # ascending z each row is read before it is written
+        for i in range(1, len(rows)):
+            _add_shifted(rows[i - 1], rows[i], step)
+    for step in steps:
+        # divide by (1 - z q^(step/2)): row z - 1, already divided, adds into row z
+        for i in range(1, len(rows)):
+            _add_shifted(rows[i], rows[i - 1], step)
+    row = rows[zmax]
     half_ok = all(c == 0 for e, c in enumerate(row) if e % 2 == 1)
     return [row[2 * t] for t in range(M + 1)], half_ok
 

@@ -1,8 +1,7 @@
 """Exact integer and rational sequences feeding the expansion.
 
 Covers Fibonacci numbers at any integer index, Eulerian numbers, Bernoulli
-numbers (first convention, B_1 = -1/2) and their values at 1/2,
-negative-order polylogarithms as exact rational functions, and the
+numbers (first convention, B_1 = -1/2) and their values at 1/2, and the
 combination
 
     polylog_delta(n) = Li_{-n}(1/phi) - (-1)**n * Li_{-n}(-phi)
@@ -22,9 +21,9 @@ phi = (1 + sqrt5)/2, so
     polylog_delta(n) = 2**n (2a + b) + 2**n b sqrt5 + [n = 0],
     a = sum_k A(n,k) F(n-2k-2),  b = sum_k A(n,k) F(n-2k-1),
 
-a sum of integers with no rational arithmetic at all.  `polylog_neg`
-evaluates the rational form directly at any field argument; it serves the
-numeric checks and is independent of this route.
+a sum of integers with no rational arithmetic at all.  The tests check it
+against the defining pair of polylogs, each evaluated exactly from its
+rational Eulerian form.
 
 Bernoulli numbers come from mpmath's exact `bernfrac`.  Tables grow on
 demand and are cached; after construction they are only read, so
@@ -38,7 +37,7 @@ from typing import Tuple
 
 import mpmath as mp
 
-from .field import FieldElem, ONE, ZERO
+from .field import FieldElem
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -48,7 +47,6 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_numbers",
     "bernoulli_half",
-    "polylog_neg",
     "polylog_delta",
     "polylog_delta_table",
 ]
@@ -118,27 +116,6 @@ def bernoulli_half(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return (Fraction(2) ** (1 - n) - 1) * bernoulli_number(n)
-
-
-def polylog_neg(n: int, w: FieldElem) -> FieldElem:
-    """Li_{-n}(w) as an exact field element, n >= 0.
-
-    Uses the closed rational form with Eulerian numerator:
-    Li_0(w) = w/(1-w) and Li_{-n}(w) = sum_k A(n,k) w**(k+1) / (1-w)**(n+1).
-    """
-    if n < 0:
-        raise ValueError("only non-positive polylog orders are exact here")
-    if w == ONE:
-        raise ZeroDivisionError("pole at w = 1")
-    one_minus_w_inv = (ONE - w).inverse()
-    if n == 0:
-        return w * one_minus_w_inv
-    num = ZERO
-    wp = w
-    for a in eulerian_row(n):
-        num = num + wp * a
-        wp = wp * w
-    return num * one_minus_w_inv ** (n + 1)
 
 
 def polylog_delta(n: int) -> FieldElem:

@@ -407,6 +407,23 @@ def test_constant_term_identity():
         constant_term_check(31)
 
 
+# q-expansion of F through q**30, written from the earlier dense-product route
+F_SERIES_30 = (
+    1, 1, 2, 4, 6, 10, 15, 23, 33, 49, 69, 98, 136, 188, 256, 348, 466, 622,
+    824, 1084, 1418, 1846, 2389, 3077, 3947, 5038, 6407, 8115, 10241, 12876, 16141,
+)
+
+
+def test_constant_term_tables_pinned():
+    r30 = constant_term_check(30)
+    assert r30.direct == F_SERIES_30
+    assert r30.constant_term == F_SERIES_30
+    for M in range(31):
+        r = constant_term_check(M)
+        assert r.ok and r.half_powers_cancelled and r.first_mismatch is None, M
+        assert r.direct == F_SERIES_30[: M + 1], M
+
+
 def test_constant_term_series_matches_numeric_f():
     # independent consistency: the exact q-expansion evaluated at q = 0.1
     # must match the direct numeric summation at s = -log(0.1)

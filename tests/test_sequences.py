@@ -5,7 +5,8 @@ from itertools import permutations
 import mpmath as mp
 import pytest
 
-from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5
+from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, ZERO
+from unclosed.qseries import PrecisionContext, log_poch_check
 from unclosed.sequences import (
     DEFAULT_MAX_ORDER,
     bernoulli_half,
@@ -16,8 +17,29 @@ from unclosed.sequences import (
     fibonacci,
     polylog_delta,
     polylog_delta_table,
-    polylog_neg,
 )
+
+
+def polylog_neg(n, w):
+    """Li_{-n}(w) as an exact field element, n >= 0.
+
+    The closed rational form with Eulerian numerator: Li_0(w) = w/(1-w)
+    and Li_{-n}(w) = sum_k A(n,k) w**(k+1) / (1-w)**(n+1).  It is the
+    oracle for polylog_delta and for the mpmath polylogs of log_poch_check.
+    """
+    if n < 0:
+        raise ValueError("only non-positive polylog orders are exact here")
+    if w == ONE:
+        raise ZeroDivisionError("pole at w = 1")
+    one_minus_w_inv = (ONE - w).inverse()
+    if n == 0:
+        return w * one_minus_w_inv
+    num = ZERO
+    wp = w
+    for a in eulerian_row(n):
+        num = num + wp * a
+        wp = wp * w
+    return num * one_minus_w_inv ** (n + 1)
 
 
 def descents_count(n, k):
@@ -216,6 +238,24 @@ def test_delta_table_caps():
         polylog_delta(-1)
     v = polylog_delta(DEFAULT_MAX_ORDER + 1)
     assert v.p.denominator == 1 and v.q.denominator == 1
+
+
+@pytest.mark.parametrize("w, v, N", [(PHI_INV, 0.0, 4), (MINUS_PHI, 0.25, 2)])
+def test_log_poch_truncation_matches_exact_polylog_oracle(w, v, N):
+    # log_poch_check takes every polylog from mpmath; here k >= 1 uses the
+    # exact rational values and k <= 0 Li_2 and Li_1 = -log1p(-w)
+    s_grid = ("0.2", "0.1", "0.05")
+    rep = log_poch_check(w, v, N, s_grid, PrecisionContext(digits=50))
+    with mp.workdps(60):
+        wn = w.embed(60)
+        x = mp.mpc(mp.mpf(1) / 2, v)
+        for row, s in zip(rep.rows, s_grid):
+            smp = mp.mpf(s)
+            want = -mp.polylog(2, wn) / smp - mp.log1p(-wn) * mp.mpc(0, v)
+            for k in range(1, N + 1):
+                coeff = polylog_neg(k - 1, w).embed(60)
+                want += coeff * (-smp) ** k * mp.bernpoly(k + 1, x) / math.factorial(k + 1)
+            assert abs(row.truncated - want) < mp.mpf("1e-45"), (s, row.truncated, want)
 
 
 def test_index_minus_one_vanishes_numerically():
