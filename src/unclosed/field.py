@@ -67,12 +67,10 @@ class FieldElem:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "FieldElem":
-        if not isinstance(n, int):
+        # n >= 0 only: no output divides in the field, and n >>= 1 never ends at n < 0
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
         base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
         result = ONE
         while n:
             if n & 1:
@@ -94,13 +92,6 @@ class FieldElem:
 
     def is_zero(self) -> bool:
         return not (self.p or self.q)
-
-    def inverse(self) -> "FieldElem":
-        """(p - q*sqrt5) / (p**2 - 5 q**2); the norm is nonzero since sqrt5 is irrational."""
-        if self.is_zero():
-            raise ZeroDivisionError("0 has no inverse in the field")
-        norm = self.p * self.p - 5 * self.q * self.q
-        return FieldElem(self.p / norm, -self.q / norm)
 
     # ------------------------------------------------------------------
     # numeric value and rendering

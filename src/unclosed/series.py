@@ -158,36 +158,10 @@ class VPoly:
         Q = [a * f + b * h for a, b in zip_longest(self.Q, other.Q, fillvalue=0)]
         return VPoly._from_ints(P, Q, self.d * f)
 
-    def __sub__(self, other: "VPoly") -> "VPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "VPoly":
-        return VPoly._from_ints([-a for a in self.P], [-b for b in self.Q], self.d)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self.scale(other)
-        if not isinstance(other, VPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return VPoly.zero()
-        return VPoly._from_ints(*_weighted_sum([(1, self, other)]))
-
-    __rmul__ = __mul__
-
-    def scale(self, s: ScalarLike) -> "VPoly":
-        a, b, e = _scalar_ints(s)
-        P = [p * a + 5 * q * b for p, q in zip(self.P, self.Q)]
-        Q = [p * b + q * a for p, q in zip(self.P, self.Q)]
-        return VPoly._from_ints(P, Q, self.d * e)
-
     def __eq__(self, other):
         if not isinstance(other, VPoly):
             return NotImplemented
         return self.d == other.d and self.P == other.P and self.Q == other.Q
-
-    def __hash__(self):
-        return hash((self.P, self.Q, self.d))
 
     def __repr__(self):
         if self.is_zero():
@@ -218,14 +192,6 @@ class PuiseuxSeries:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PuiseuxSeries is immutable")
 
-    @classmethod
-    def zero(cls, trunc_order: int) -> "PuiseuxSeries":
-        return cls(trunc_order, {})
-
-    @classmethod
-    def one(cls, trunc_order: int) -> "PuiseuxSeries":
-        return cls(trunc_order, {0: VPoly.one()})
-
     def coeff(self, m: int) -> VPoly:
         return self.terms.get(m, VPoly.zero())
 
@@ -246,35 +212,6 @@ class PuiseuxSeries:
         for m, p in other.terms.items():
             out[m] = out.get(m, VPoly.zero()) + p
         return PuiseuxSeries(self.trunc_order, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PuiseuxSeries(self.trunc_order, {m: -p for m, p in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self.scale(other)
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        out: Dict[int, VPoly] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                m = m1 + m2
-                if m > self.trunc_order:
-                    continue
-                prod = p1 * p2
-                out[m] = out.get(m, VPoly.zero()) + prod
-        return PuiseuxSeries(self.trunc_order, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, s: ScalarLike) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.trunc_order, {m: p.scale(s) for m, p in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
@@ -318,10 +255,6 @@ class PuiseuxSeries:
                 if not lm.is_zero():
                     out[m] = lm
         return PuiseuxSeries(self.trunc_order, out)
-
-    def __repr__(self):
-        body = ", ".join(f"t^{m}: {self.terms[m]!r}" for m in self.powers())
-        return f"PuiseuxSeries(order<={self.trunc_order}, {body})"
 
 
 # ----------------------------------------------------------------------
@@ -407,5 +340,5 @@ def exponent_series(max_index: int, trunc_order: int) -> PuiseuxSeries:
 def damping_term(trunc_order: int) -> PuiseuxSeries:
     """The extra -sqrt(5)/24 * t**2 carried inside the same exponential."""
     if trunc_order < 2:
-        return PuiseuxSeries.zero(trunc_order)
+        return PuiseuxSeries(trunc_order, {})
     return PuiseuxSeries(trunc_order, {2: VPoly([SQRT5 * Fraction(-1, 24)])})

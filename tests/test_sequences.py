@@ -20,6 +20,12 @@ from unclosed.sequences import (
 )
 
 
+def field_inverse(x):
+    # (p - q sqrt5) / (p**2 - 5 q**2); the norm of x != 0 is nonzero since sqrt5 is irrational
+    norm = x.p * x.p - 5 * x.q * x.q
+    return FieldElem(x.p / norm, -x.q / norm)
+
+
 def polylog_neg(n, w):
     """Li_{-n}(w) as an exact field element, n >= 0.
 
@@ -31,7 +37,7 @@ def polylog_neg(n, w):
         raise ValueError("only non-positive polylog orders are exact here")
     if w == ONE:
         raise ZeroDivisionError("pole at w = 1")
-    one_minus_w_inv = (ONE - w).inverse()
+    one_minus_w_inv = field_inverse(ONE - w)
     if n == 0:
         return w * one_minus_w_inv
     num = ZERO
@@ -60,9 +66,10 @@ def test_fibonacci_at_negative_and_positive_indices():
         assert values[n] == values[n - 1] + values[n - 2], n
     for n in range(71):
         assert values[-n] == (-1) ** (n + 1) * values[n], n
-    # phi**n = F(n-1) + F(n) phi for every integer n
+    # phi**n = F(n-1) + F(n) phi for every integer n, with phi**-1 = phi - 1
     for n in range(-20, 21):
-        assert PHI**n == FieldElem(values[n - 1]) + PHI * values[n], n
+        power = PHI**n if n >= 0 else PHI_INV ** -n
+        assert power == FieldElem(values[n - 1]) + PHI * values[n], n
 
 
 def test_eulerian_small_rows():

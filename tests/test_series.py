@@ -12,6 +12,7 @@ from unclosed.series import (
     PuiseuxSeries,
     VPoly,
     _even_moment,
+    _weighted_sum,
     damping_term,
     exponent_series,
     gaussian_integrate,
@@ -61,6 +62,26 @@ def naive_product(x, y):
     return out
 
 
+def series_product(x, y):
+    # truncated Cauchy product through naive_product, sharing no code with the kernel
+    out = {}
+    for m1, p1 in x.terms.items():
+        for m2, p2 in y.terms.items():
+            if m1 + m2 <= x.trunc_order:
+                prod = VPoly(naive_product(p1.coeffs, p2.coeffs))
+                out[m1 + m2] = out.get(m1 + m2, VPoly.zero()) + prod
+    return PuiseuxSeries(x.trunc_order, out)
+
+
+def one_series(trunc):
+    return PuiseuxSeries(trunc, {0: VPoly.one()})
+
+
+def kernel_coeffs(terms, n):
+    P, Q, D = _weighted_sum(terms)
+    return pad([FieldElem(Fraction(p, D), Fraction(q, D)) for p, q in zip(P, Q)], n)
+
+
 # ----------------------------------------------------------------------
 # VPoly
 # ----------------------------------------------------------------------
@@ -75,24 +96,25 @@ def test_vpoly_trims_trailing_zeros():
 def test_vpoly_arithmetic():
     v = VPoly.monomial(1)
     assert (v + v) == VPoly.monomial(1, 2)
-    assert (v * v) == VPoly.monomial(2)
-    assert v.scale(Fraction(1, 2)) == VPoly.monomial(1, Fraction(1, 2))
-    assert (v - v).is_zero()
+    assert (v + VPoly.monomial(1, -1)).is_zero()
 
 
-@given(coeff_lists, coeff_lists, field_elems)
-def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, s):
+@given(coeff_lists, coeff_lists, st.integers(-6, 6))
+def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, k):
     px, py = VPoly(x), VPoly(y)
     n = len(x) + len(y)
     xs, ys = pad(x, n), pad(y, n)
     assert coeff_list(px, n) == xs
     assert coeff_list(px + py, n) == [a + b for a, b in zip(xs, ys)]
-    assert coeff_list(px - py, n) == [a - b for a, b in zip(xs, ys)]
-    assert coeff_list(px * py, n) == pad(naive_product(x, y), n)
-    assert coeff_list(px.scale(s), n) == [a * s for a in xs]
+    # the product kernel, one weighted term and a two-term sum k*x*y - x*x
+    xy, xx = pad(naive_product(x, y), n), pad(naive_product(x, x), n)
+    assert kernel_coeffs([(k, px, py)], n) == [c * k for c in xy]
+    assert kernel_coeffs([(k, px, py), (-1, px, px)], n) == [
+        a * k - b for a, b in zip(xy, xx)
+    ]
     # canonical form: equal polynomials store equal numerators and denominator
-    assert (px + py) - py == px
-    assert hash((px + py) - py) == hash(px)
+    back = (px + py) + VPoly([-c for c in y])
+    assert (back.P, back.Q, back.d) == (px.P, px.Q, px.d)
     assert px.degree == max((j for j, c in enumerate(x) if not c.is_zero()), default=-1)
 
 
@@ -104,7 +126,7 @@ def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, s):
 def test_series_add_identity_and_merge():
     rng = random.Random(1)
     x = random_series(rng)
-    assert x + PuiseuxSeries.zero(x.trunc_order) == x
+    assert x + PuiseuxSeries(x.trunc_order, {}) == x
     a = PuiseuxSeries(4, {1: VPoly.monomial(1)})
     b = PuiseuxSeries(4, {2: VPoly.monomial(2)})
     merged = a + b
@@ -116,27 +138,7 @@ def test_series_add_identity_and_merge():
 
 def test_series_add_order_mismatch():
     with pytest.raises(ValueError):
-        PuiseuxSeries.zero(3) + PuiseuxSeries.zero(4)
-    with pytest.raises(ValueError):
-        PuiseuxSeries.zero(3) * PuiseuxSeries.zero(4)
-
-
-def test_series_mul_examples():
-    tv = PuiseuxSeries(4, {1: VPoly.monomial(1)})
-    one = PuiseuxSeries.one(4)
-    prod = (one + tv) * (one - tv)
-    assert prod.coeff(0) == VPoly.one()
-    assert prod.coeff(1).is_zero()
-    assert prod.coeff(2) == VPoly.monomial(2, -1)
-    rng = random.Random(2)
-    x = random_series(rng)
-    assert x * PuiseuxSeries.one(x.trunc_order) == x
-
-
-def test_series_mul_truncates():
-    a = PuiseuxSeries(2, {1: VPoly.monomial(1)})
-    b = PuiseuxSeries(2, {2: VPoly.monomial(1)})
-    assert (a * b) == PuiseuxSeries.zero(2)
+        PuiseuxSeries(3, {}) + PuiseuxSeries(4, {})
 
 
 def test_series_rejects_bad_powers():
@@ -146,22 +148,13 @@ def test_series_rejects_bad_powers():
         PuiseuxSeries(2, {-1: VPoly.one()})
 
 
-def test_series_mul_commutative_associative():
-    rng = random.Random(3)
-    for _ in range(10):
-        a, b, c = (random_series(rng, trunc=5) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-
 # ----------------------------------------------------------------------
 # exp / log
 # ----------------------------------------------------------------------
 
 
 def test_exp_examples():
-    assert PuiseuxSeries.zero(4).exp() == PuiseuxSeries.one(4)
+    assert PuiseuxSeries(4, {}).exp() == one_series(4)
     tv = PuiseuxSeries(2, {1: VPoly.monomial(1)})
     e = tv.exp()
     assert e.coeff(0) == VPoly.one()
@@ -171,13 +164,13 @@ def test_exp_examples():
 
 def test_exp_requires_positive_valuation():
     with pytest.raises(ValueError):
-        PuiseuxSeries.one(3).exp()
+        one_series(3).exp()
 
 
 def test_log_examples():
-    assert PuiseuxSeries.one(5).log() == PuiseuxSeries.zero(5)
+    assert one_series(5).log() == PuiseuxSeries(5, {})
     with pytest.raises(ValueError):
-        PuiseuxSeries.zero(3).log()
+        PuiseuxSeries(3, {}).log()
     # log(1 + b1 t^2) starts with b1 t^2
     b1 = SQRT5 * Fraction(1, 40)
     x = PuiseuxSeries(6, {0: VPoly.one(), 2: VPoly([b1])})
@@ -190,14 +183,14 @@ def test_exp_log_round_trip_random():
     for _ in range(8):
         x = random_series(rng, trunc=8, from_power=1)
         assert x.exp().log() == x
-        y = PuiseuxSeries.one(8) + random_series(rng, trunc=8, from_power=1)
+        y = one_series(8) + random_series(rng, trunc=8, from_power=1)
         assert y.log().exp() == y
 
 
 @given(positive_valuation_series())
 def test_log_exp_round_trip_property(a):
     assert a.exp().log() == a
-    one_plus_a = PuiseuxSeries.one(a.trunc_order) + a
+    one_plus_a = one_series(a.trunc_order) + a
     assert one_plus_a.log().exp() == one_plus_a
 
 
@@ -206,7 +199,7 @@ def test_exp_is_multiplicative():
     for _ in range(5):
         a = random_series(rng, trunc=6, from_power=1)
         b = random_series(rng, trunc=6, from_power=1)
-        assert (a + b).exp() == a.exp() * b.exp()
+        assert (a + b).exp() == series_product(a.exp(), b.exp())
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +260,7 @@ def test_exponent_series_leading_terms():
 
 
 def test_exponent_series_trunc_zero_is_empty():
-    assert exponent_series(2, 0) == PuiseuxSeries.zero(0)
+    assert exponent_series(2, 0) == PuiseuxSeries(0, {})
     with pytest.raises(ValueError):
         exponent_series(1, 4)
 
@@ -325,4 +318,4 @@ def test_exponent_series_parity_and_degree_bound():
 def test_damping_term():
     d = damping_term(4)
     assert d.coeff(2) == VPoly([SQRT5 * Fraction(-1, 24)])
-    assert damping_term(1) == PuiseuxSeries.zero(1)
+    assert damping_term(1) == PuiseuxSeries(1, {})
