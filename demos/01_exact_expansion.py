@@ -11,6 +11,8 @@ b_j is an element of Q(sqrt5), produced by Gaussian-moment integration of
 an exact series in t = sqrt(s).
 """
 
+import mpmath as mp
+
 from unclosed.expansion import compute_expansion
 from unclosed.series import exponent_series
 
@@ -24,14 +26,14 @@ for m in ser.powers():
 print()
 
 print(f"=== exact coefficients through order {J} ===")
-result = compute_expansion(J, precision=30)
-for j, (exact, flt) in enumerate(zip(result.b, result.b_float)):
-    print(f"  b_{j:<2} = {exact.render():<28} ~ {flt}")
+result = compute_expansion(J)
+for j, exact in enumerate(result.b):
+    print(f"  b_{j:<2} = {exact.render():<28} ~ {mp.nstr(exact.embed(30), 30)}")
 print()
 
 print("=== exponential form (formal log of the same series) ===")
-for j, (exact, flt) in enumerate(zip(result.c, result.c_float), start=1):
-    print(f"  c_{j:<2} = {exact.render():<28} ~ {flt}")
+for j, exact in enumerate(result.c, start=1):
+    print(f"  c_{j:<2} = {exact.render():<28} ~ {mp.nstr(exact.embed(30), 30)}")
 print()
 
 print("=== growth of |b_j|^(1/j): a convergent series would level off ===")

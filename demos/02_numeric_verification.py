@@ -24,7 +24,7 @@ for s in ("0.2", "0.1", "0.05", "0.02"):
 print("rel err falls ~8x per halving of s: the residual is O(s^3)\n")
 
 print("=== numeric extraction of the first two coefficients ===")
-exact = compute_expansion(2, precision=30)
+exact = compute_expansion(2)
 for j in (1, 2):
     est = extract_coefficient(j, ["0.1", "0.05", "0.025"])
     target = exact.b[j].embed(30)

@@ -38,7 +38,7 @@ for r in rows:
 print()
 
 print("=== coefficient growth: |b_j|^(1/j) keeps climbing ===")
-section = b_growth(compute_expansion(12, precision=30))
+section = b_growth(compute_expansion(12))
 print("  roots:", " ".join(f"{x:.4f}" for x in section.roots))
 print(f"  strictly increasing on the last four orders: {section.tail_increasing}")
 print(f"  ratio test |b_j+1/b_j| exceeds 1 from j = {section.ratio_cross_index}")

@@ -2,7 +2,7 @@
 
 Modules:
   field       exact arithmetic in Q(sqrt5)
-  sequences   Fibonacci/Eulerian/Bernoulli tables, delta values
+  sequences   Fibonacci, Eulerian and Bernoulli numbers, delta values
   series      truncated formal series in t = sqrt(s) with coefficients polynomial
               in the graded Gaussian variable w = i*v/5**(1/4)
   expansion   exact expansion coefficients b_j / c_j of the normalized remainder

@@ -5,7 +5,9 @@ deterministic for a fixed configuration: JSON documents carry a
 schema_version field and CSV uses '.' decimals, UTF-8 and LF endings.
 Exit codes: 0 success, 2 configuration error, 3 suite failure.
 Handlers read the parsed argparse namespace directly; every default and
-choice lives in `build_parser`.
+choice lives in `build_parser`, and each subcommand takes only the flags
+its handler reads: --precision for coeffs, eval and tables; --format for
+coeffs, eval, diverge and tables; --out for all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import mpmath as mp
 
 from . import divergence, qseries, suites
 from .expansion import compute_expansion, render_expansion
-from .sequences import bernoulli_numbers, eulerian_triangle, polylog_delta_table
+from .sequences import bernoulli_number, eulerian_row, polylog_delta
 
 SCHEMA_VERSION = 1
 
@@ -45,8 +47,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     if not 1 <= args.max_order <= 24:
         raise ConfigError("--max-order must lie in [1, 24]")
-    result = compute_expansion(args.max_order, precision=args.precision)
-    _emit(render_expansion(result, args.fmt), args.out)
+    result = compute_expansion(args.max_order)
+    _emit(render_expansion(result, args.fmt, args.precision), args.out)
     return EXIT_OK
 
 
@@ -173,16 +175,16 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         raise ConfigError("--max-n must lie in [0, 64]")
     doc = {"schema_version": SCHEMA_VERSION, "kind": "tables", "max_n": args.max_n}
     want = ("delta", "bernoulli", "eulerian") if args.kind == "all" else (args.kind,)
+    ns = range(args.max_n + 1)
     if "delta" in want:
         doc["delta"] = [
             {"n": n, "exact": v.render(), "value": mp.nstr(v.embed(args.precision), args.precision)}
-            for n, v in enumerate(polylog_delta_table(args.max_n))
+            for n, v in enumerate(map(polylog_delta, ns))
         ]
     if "bernoulli" in want:
-        values = bernoulli_numbers(args.max_n)
-        doc["bernoulli"] = [{"n": n, "value": str(v)} for n, v in enumerate(values)]
+        doc["bernoulli"] = [{"n": n, "value": str(bernoulli_number(n))} for n in ns]
     if "eulerian" in want:
-        rows = eulerian_triangle(min(args.max_n, 24))
+        rows = [eulerian_row(n) for n in range(min(args.max_n, 24) + 1)]
         doc["eulerian"] = [{"n": n, "row": [str(x) for x in row]} for n, row in enumerate(rows)]
     if args.fmt == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
@@ -203,37 +205,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--precision", type=int, default=30, help="output decimal digits")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    def flags(p, precision=False, fmt=False):
+        if precision:
+            p.add_argument("--precision", type=int, default=30, help="output decimal digits")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("coeffs", help="exact expansion coefficients")
     p.add_argument("--max-order", type=int, default=12)
-    common(p)
+    flags(p, precision=True, fmt=True)
 
     p = sub.add_parser("eval", help="high-precision evaluation vs. the expansion")
     p.add_argument("--s", action="append", dest="s_values", metavar="S",
                    help=f"evaluation point, repeatable; {S_MIN} <= s <= 5")
     p.add_argument("--order", type=int, default=2, help="expansion order for comparison")
-    common(p)
+    flags(p, precision=True, fmt=True)
 
     p = sub.add_parser("verify", help="run one named verification suite")
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
-    common(p)
+    flags(p)
 
     p = sub.add_parser("diverge", help="divergence diagnostics")
     p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--ebar-max", type=int, default=30)
-    common(p)
+    flags(p, fmt=True)
 
     p = sub.add_parser("report", help="run all suites and summarize")
-    common(p)
+    flags(p)
 
     p = sub.add_parser("tables", help="dump the exact sequence tables")
     p.add_argument("--kind", choices=("all", "delta", "bernoulli", "eulerian"), default="all")
     p.add_argument("--max-n", type=int, default=16)
-    common(p)
+    flags(p, precision=True, fmt=True)
 
     return parser
 
@@ -251,7 +255,7 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 1 <= args.precision <= 1000:
+        if "precision" in args and not 1 <= args.precision <= 1000:
             raise ConfigError("--precision must lie in [1, 1000]")
         return _HANDLERS[args.subcommand](args)
     except ConfigError as exc:

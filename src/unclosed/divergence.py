@@ -103,8 +103,9 @@ def partial_exp(k: int, z, digits: int = 30, weights=None) -> mp.mpf:
         return total
 
 
-def partial_exp_max_error(k: int, digits: int = 30, grid: int = 41) -> float:
-    """max over z in [-2, 2] of |partial_exp(k, z) - exp(z)| on a uniform grid."""
+def partial_exp_max_error(k: int) -> float:
+    """max over z in [-2, 2] of |partial_exp(k, z) - exp(z)|, on a uniform grid."""
+    digits, grid = 30, 41  # grid points, both ends included
     with mp.workdps(digits + 10):
         weights = _weights_through(k + 1, digits)
         worst = mp.mpf(0)
@@ -232,7 +233,8 @@ class GrowthReport:
     cosh_rows: Tuple[CoshRow, ...]
 
 
-def growth_report(max_order: int = 12, ebar_max: int = 30, digits: int = 60) -> GrowthReport:
+def growth_report(max_order: int = 12, ebar_max: int = 30) -> GrowthReport:
+    digits = 60
     if ebar_max < 6:
         raise ValueError("ebar_max must be >= 6")
     raw = [normalized_polylog_delta(n, digits) for n in range(ebar_max + 1)]
@@ -241,7 +243,7 @@ def growth_report(max_order: int = 12, ebar_max: int = 30, digits: int = 60) -> 
     errors = [float(abs(v - 1)) for v in raw]
     fit_lo, fit_hi = 5, min(30, ebar_max)
     rate, _ = fit_geometric_rate(range(fit_lo, fit_hi + 1), errors[fit_lo : fit_hi + 1])
-    section = b_growth(compute_expansion(max_order, precision=30))
+    section = b_growth(compute_expansion(max_order))
     cosh_rows = cosh_limit_check(digits=digits)
     return GrowthReport(
         n_range=(0, ebar_max),

@@ -2,14 +2,16 @@
 
 `compute_expansion(J)` produces the multiplicative coefficients b_0..b_J
 (b_0 = 1) and the exponential coefficients c_1..c_J of the same series
-under a formal log, all as exact elements of Q(sqrt5), together with
-decimal renderings and growth statistics.  Computing b_1..b_J requires
-the exponent series truncated at t**(2J) with summands up to index 2J+1.
+under a formal log, all as exact elements of Q(sqrt5), together with the
+growth roots |b_j|**(1/j).  An exact result depends only on the order asked
+for; `render_expansion` alone turns it into decimal strings, at the
+precision it is given.  Computing b_1..b_J requires the exponent series
+truncated at t**(2J) with summands up to index 2J+1.
 
 Only the largest order built so far is cached, and a smaller order is its
 prefix: summand k of the exponent first enters at t**(k-1), so truncation
-touches only powers above t**(2J), and c_j reads only b_0..b_j.  Repeated
-runs are bit-identical.
+touches only powers above t**(2J), c_j reads only b_0..b_j, and the root
+of index j reads only b_j.  Repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,21 +29,19 @@ __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assemble
 
 SCHEMA_VERSION = 1
 
-# the largest order built so far: (assembled series, b_0..b_J, c_1..c_J)
-_prefix: Optional[Tuple[PuiseuxSeries, Tuple[FieldElem, ...], Tuple[FieldElem, ...]]] = None
-
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Exact b_j / c_j lists with float renderings and growth statistics."""
+    """Exact b_j / c_j lists with their growth roots."""
 
     max_order: int
-    precision: int
     b: Tuple[FieldElem, ...]  # b_0 .. b_J
     c: Tuple[FieldElem, ...]  # c_1 .. c_J
-    b_float: Tuple[str, ...]
-    c_float: Tuple[str, ...]
     growth: Tuple[float, ...]  # |b_j|**(1/j) for j = 1 .. J
+
+
+# the largest order built so far, with its assembled series
+_prefix: Optional[Tuple[PuiseuxSeries, ExpansionResult]] = None
 
 
 def _build(max_order: int):
@@ -49,7 +49,7 @@ def _build(max_order: int):
     global _prefix
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if _prefix is None or len(_prefix[2]) < max_order:
+    if _prefix is None or _prefix[1].max_order < max_order:
         trunc = 2 * max_order
         total = (exponent_series(2 * max_order + 1, trunc) + damping_term(trunc)).exp()
         b = []
@@ -71,7 +71,12 @@ def _build(max_order: int):
             if p.degree > 0:
                 raise ArithmeticError("log series coefficient is not constant in w")
             c.append(p.coeff(0))
-        _prefix = (total, tuple(b), tuple(c))
+        # fixed working digits: the roots never depend on an output setting
+        with mp.workdps(40):
+            growth = tuple(
+                float(abs(b[j].embed(30)) ** (mp.mpf(1) / j)) for j in range(1, max_order + 1)
+            )
+        _prefix = (total, ExpansionResult(max_order, tuple(b), tuple(c), growth))
     return _prefix
 
 
@@ -82,70 +87,43 @@ def assembled_series(max_order: int) -> PuiseuxSeries:
     return PuiseuxSeries(trunc, {m: p for m, p in total.terms.items() if m <= trunc})
 
 
-def compute_expansion(max_order: int, precision: int = 30) -> ExpansionResult:
-    """Exact expansion through order `max_order`, with floats at `precision` digits."""
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    _, b, c = _build(max_order)
-    b, c = b[: max_order + 1], c[:max_order]
-    with mp.workdps(precision + 10):
-        b_num = [x.embed(precision) for x in b]
-        c_num = [x.embed(precision) for x in c]
-        b_float = tuple(mp.nstr(x, precision) for x in b_num)
-        c_float = tuple(mp.nstr(x, precision) for x in c_num)
-        growth = tuple(
-            float(abs(b_num[j]) ** (mp.mpf(1) / j)) for j in range(1, max_order + 1)
-        )
+def compute_expansion(max_order: int) -> ExpansionResult:
+    """Exact expansion through order `max_order`."""
+    full = _build(max_order)[1]
     return ExpansionResult(
         max_order=max_order,
-        precision=precision,
-        b=b,
-        c=c,
-        b_float=b_float,
-        c_float=c_float,
-        growth=growth,
+        b=full.b[: max_order + 1],
+        c=full.c[:max_order],
+        growth=full.growth[:max_order],
     )
 
 
-def render_expansion(result: ExpansionResult, fmt: str = "json") -> str:
-    """Deterministic serialization; "json" and "csv" carry the same content."""
+def _json_row(j: int, x: FieldElem, value: str) -> dict:
+    return {"j": j, "p": str(x.p), "q": str(x.q), "exact": x.render(), "value": value}
+
+
+def render_expansion(result: ExpansionResult, fmt: str = "json", precision: int = 30) -> str:
+    """Deterministic serialization with values at `precision` digits; "json"
+    and "csv" carry the same content."""
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    # (j, exact, decimal); embed sets its own working digits and nstr reads none
+    b = [(j, x, mp.nstr(x.embed(precision), precision)) for j, x in enumerate(result.b)]
+    c = [(j, x, mp.nstr(x.embed(precision), precision)) for j, x in enumerate(result.c, 1)]
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "max_order": result.max_order,
-            "precision": result.precision,
-            "b": [
-                {
-                    "j": j,
-                    "p": str(x.p),
-                    "q": str(x.q),
-                    "exact": x.render(),
-                    "value": result.b_float[j],
-                }
-                for j, x in enumerate(result.b)
-            ],
-            "c": [
-                {
-                    "j": j + 1,
-                    "p": str(x.p),
-                    "q": str(x.q),
-                    "exact": x.render(),
-                    "value": result.c_float[j],
-                }
-                for j, x in enumerate(result.c)
-            ],
-            "growth": [
-                {"j": j + 1, "root": repr(r)} for j, r in enumerate(result.growth)
-            ],
+            "precision": precision,
+            "b": [_json_row(*row) for row in b],
+            "c": [_json_row(*row) for row in c],
+            "growth": [{"j": j, "root": repr(r)} for j, r in enumerate(result.growth, 1)],
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
         lines = ["series,j,p,q,value"]
-        for j, x in enumerate(result.b):
-            lines.append(f"b,{j},{x.p},{x.q},{result.b_float[j]}")
-        for j, x in enumerate(result.c):
-            lines.append(f"c,{j + 1},{x.p},{x.q},{result.c_float[j]}")
-        for j, r in enumerate(result.growth):
-            lines.append(f"growth,{j + 1},,,{r!r}")
+        lines += [f"b,{j},{x.p},{x.q},{v}" for j, x, v in b]
+        lines += [f"c,{j},{x.p},{x.q},{v}" for j, x, v in c]
+        lines += [f"growth,{j},,,{r!r}" for j, r in enumerate(result.growth, 1)]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format: {fmt}")

@@ -162,16 +162,15 @@ class EvalReport:
     rel_err: mp.mpf
 
 
-def eval_report(s, order: int = 2, ctx: Optional[PrecisionContext] = None) -> EvalReport:
+def eval_report(s, order: int = 2) -> EvalReport:
     if order < 1:
         raise ValueError("order must be >= 1")
-    if ctx is None:
-        ctx = _context_for(s)
+    ctx = _context_for(s)
     F, terms = f_direct(s, ctx)
     with mp.workdps(ctx.digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         remainder = _normalize(F, smp)
-        result = compute_expansion(order, precision=min(ctx.digits, 60))
+        result = compute_expansion(order)
         asym = mp.mpf(1)
         for j in range(1, order + 1):
             asym += result.b[j].embed(ctx.digits) * smp ** j
@@ -218,7 +217,7 @@ def extract_coefficient(
         ctx = _context_for(min(s_grid, key=lambda x: float(mp.mpf(x))), out_digits=10)
     lower: List[mp.mpf] = [mp.mpf(1)]
     if j >= 2:
-        result = compute_expansion(j - 1, precision=min(ctx.digits, 60))
+        result = compute_expansion(j - 1)
         lower += [x.embed(ctx.digits) for x in result.b[1:]]
     svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     ests = []

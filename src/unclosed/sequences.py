@@ -40,21 +40,12 @@ import mpmath as mp
 from .field import FieldElem
 
 __all__ = [
-    "DEFAULT_MAX_ORDER",
     "fibonacci",
     "eulerian_row",
-    "eulerian_triangle",
     "bernoulli_number",
-    "bernoulli_numbers",
     "bernoulli_half",
     "polylog_delta",
-    "polylog_delta_table",
 ]
-
-# Cap on the table functions (four times it for Bernoulli numbers), which
-# `tables` prints; the single-value functions grow on demand with no cap.
-DEFAULT_MAX_ORDER = 64
-
 
 _fibonacci: list = [0, 1]
 _eulerian_rows: list = [(1,)]
@@ -86,14 +77,6 @@ def eulerian_row(n: int) -> Tuple[int, ...]:
     return _eulerian_rows[n]
 
 
-def eulerian_triangle(max_order: int = 16) -> Tuple[Tuple[int, ...], ...]:
-    """Rows A(n, k) for 0 <= n <= max_order (row n=0 is (1,) by convention)."""
-    if not 0 <= max_order <= DEFAULT_MAX_ORDER:
-        raise ValueError(f"max_order must be in [0, {DEFAULT_MAX_ORDER}]")
-    eulerian_row(max_order)
-    return tuple(_eulerian_rows[: max_order + 1])
-
-
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n, from mpmath's exact numerator and denominator."""
     if n < 0:
@@ -101,14 +84,6 @@ def bernoulli_number(n: int) -> Fraction:
     while len(_bernoulli) <= n:
         _bernoulli.append(Fraction(*mp.bernfrac(len(_bernoulli))))
     return _bernoulli[n]
-
-
-def bernoulli_numbers(max_order: int) -> Tuple[Fraction, ...]:
-    """B_0..B_max_order with the B_1 = -1/2 convention."""
-    if not 0 <= max_order <= 4 * DEFAULT_MAX_ORDER:
-        raise ValueError("max_order out of range")
-    bernoulli_number(max_order)
-    return tuple(_bernoulli[: max_order + 1])
 
 
 def bernoulli_half(n: int) -> Fraction:
@@ -133,11 +108,3 @@ def polylog_delta(n: int) -> FieldElem:
         b = sum(c * fibonacci(m - 2 * k - 1) for k, c in enumerate(row))
         _delta_values.append(FieldElem(2**m * (2 * a + b) + (m == 0), 2**m * b))
     return _delta_values[n]
-
-
-def polylog_delta_table(max_order: int = DEFAULT_MAX_ORDER) -> Tuple[FieldElem, ...]:
-    """polylog_delta(0..max_order)."""
-    if not 0 <= max_order <= DEFAULT_MAX_ORDER:
-        raise ValueError(f"max_order must be in [0, {DEFAULT_MAX_ORDER}]")
-    polylog_delta(max_order)
-    return tuple(_delta_values[: max_order + 1])

@@ -42,15 +42,13 @@ class SuiteResult:
 
 def suite_b1() -> SuiteResult:
     expected = SQRT5 * Fraction(1, 40)
-    result = compute_expansion(1, precision=30)
-    ok = result.b[1] == expected
+    b1 = compute_expansion(1).b[1]
     return SuiteResult(
         name="b1",
         criterion="first-order coefficient equals sqrt5/40 exactly",
-        ok=ok,
-        details=[
-            {"computed": result.b[1].render(), "expected": expected.render(), "float": result.b_float[1]}
-        ],
+        ok=b1 == expected,
+        details=[{"computed": b1.render(), "expected": expected.render(),
+                  "float": mp.nstr(b1.embed(30), 30)}],
     )
 
 
@@ -87,7 +85,7 @@ def suite_moments() -> SuiteResult:
 def suite_scaling() -> SuiteResult:
     grid = ("0.2", "0.1", "0.05")
     ctx = qseries.PrecisionContext(digits=80)
-    result = compute_expansion(2, precision=40)
+    result = compute_expansion(2)
     rows = []
     with mp.workdps(ctx.digits + qseries.GUARD_DIGITS):
         b1 = result.b[1].embed(60)
@@ -169,7 +167,7 @@ def suite_ebar() -> SuiteResult:
 
 
 def suite_divergence() -> SuiteResult:
-    result = compute_expansion(DIVERGENCE_ORDER, precision=30)
+    result = compute_expansion(DIVERGENCE_ORDER)
     section = divergence.b_growth(result)
     nonzero_c = all(not x.is_zero() for x in result.c[1:])
     ok = section.tail_increasing and nonzero_c
@@ -225,7 +223,7 @@ def suite_parity() -> SuiteResult:
     # working digits keep the 1e-50 tolerance about 13 digits clear
     digits = 80
     tol = mp.mpf("1e-50")
-    result = compute_expansion(DIVERGENCE_ORDER, precision=30)
+    result = compute_expansion(DIVERGENCE_ORDER)
     series = assembled_series(DIVERGENCE_ORDER)
     odd_ok = all(
         gaussian_integrate(series.coeff(m)).is_zero()

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -31,6 +34,70 @@ def test_coeffs_rejects_bad_order(capsys):
     assert "max-order" in err
     code, _, _ = run_cli(capsys, "coeffs", "--max-order", "25")
     assert code == 2
+
+
+def test_growth_roots_ignore_precision(capsys):
+    # the roots are exact-result data: --precision sets only the b/c value strings
+    growth = set()
+    for precision in ("1", "5", "30"):
+        code, out, _ = run_cli(capsys, "coeffs", "--max-order", "4", "--precision", precision,
+                               "--format", "csv")
+        assert code == 0
+        growth.add(tuple(ln for ln in out.splitlines() if ln.startswith("growth,")))
+    assert len(growth) == 1
+    assert next(iter(growth))[0] == "growth,1,,,0.05590169943749474"
+
+
+@pytest.mark.parametrize("argv", [["coeffs"], ["eval", "--s", "0.1"], ["tables"]])
+@pytest.mark.parametrize("precision", ["0", "1001"])
+def test_precision_out_of_range(capsys, argv, precision):
+    code, out, err = run_cli(capsys, *argv, "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert "[1, 1000]" in err
+
+
+def _args_read(func):
+    """Names `x` that `func` reads as `args.x`."""
+    tree = ast.parse(inspect.getsource(func))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_subcommand_option_is_read_by_its_handler():
+    # main reads args.precision only to range-check it, so only the
+    # subcommand's own handler counts as a reader of its options
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._HANDLERS)
+    unread = []
+    for name, parser in sub.choices.items():
+        read = _args_read(cli._HANDLERS[name])
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction) and action.dest not in read:
+                unread.append(f"{name} {'/'.join(action.option_strings)}")
+    assert unread == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--format", "csv"],
+        ["verify", "--suite", "b1", "--precision", "5"],
+        ["diverge", "--precision", "3"],
+        ["report", "--precision", "5"],
+        ["verify", "--suite", "b1", "--format", "csv"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, *argv)
+    assert exc.value.code == 2
 
 
 def test_coeffs_csv_round_trip(capsys):
@@ -123,6 +190,13 @@ def test_tables(capsys):
     assert doc["delta"][1]["exact"] == "4"
     assert doc["bernoulli"][12]["value"] == "-691/2730"
     assert doc["eulerian"][3]["row"] == ["1", "4", "1"]
+
+
+def test_tables_rejects_max_n_above_64(capsys):
+    code, out, err = run_cli(capsys, "tables", "--max-n", "65")
+    assert code == 2
+    assert out == ""
+    assert "[0, 64]" in err
 
 
 def test_tables_csv(capsys):

@@ -195,14 +195,14 @@ def test_cosh_limit_validation():
 
 
 def test_b_growth():
-    r = compute_expansion(12, precision=30)
+    r = compute_expansion(12)
     section = b_growth(r)
     assert abs(section.roots[0] - 0.05590169943749474) < 1e-12
     assert section.tail_increasing
     assert section.ratio_cross_index is not None
     assert section.ratio_cross_index <= 12
     with pytest.raises(ValueError):
-        b_growth(compute_expansion(4, precision=30))
+        b_growth(compute_expansion(4))
 
 
 def test_growth_report_shape():

@@ -14,10 +14,10 @@ from unclosed.series import PuiseuxSeries, VPoly, exponent_series
 
 
 def test_b0_and_b1_exact():
-    r = compute_expansion(1, precision=30)
+    r = compute_expansion(1)
     assert r.b[0] == ONE
     assert r.b[1] == SQRT5 * Fraction(1, 40)
-    assert r.b_float[1].startswith("0.055901699437494742")
+    assert json.loads(render_expansion(r))["b"][1]["value"].startswith("0.055901699437494742")
 
 
 def test_low_order_values_against_sympy_oracle():
@@ -57,7 +57,7 @@ def test_low_order_values_against_sympy_oracle():
                 total += c * (sp.factorial2(deg - 1) if deg > 0 else 1)
         oracle[j] = sp.radsimp(sp.expand(total))
 
-    r = compute_expansion(J, precision=30)
+    r = compute_expansion(J)
     for j in range(J + 1):
         p, q = r.b[j].p, r.b[j].q
         ours = sp.Rational(p.numerator, p.denominator) + sp.Rational(
@@ -69,7 +69,7 @@ def test_low_order_values_against_sympy_oracle():
 def test_high_order_regression_anchors():
     # frozen from this engine (independently confirmed through order 3 by the
     # symbolic oracle and numerically through order 2); guards refactors
-    r = compute_expansion(12, precision=30)
+    r = compute_expansion(12)
     assert r.b[6] == FieldElem(Fraction(9602784703, 983040000000))
     assert r.b[12] == FieldElem(
         Fraction(2333331578194316198254705027, 2678771102515200000000000000)
@@ -83,7 +83,7 @@ def test_b2_against_numeric_extraction():
     from unclosed.qseries import extract_coefficient
 
     est = extract_coefficient(2, ["0.1", "0.05", "0.025"])
-    exact = compute_expansion(2, precision=30).b[2].embed(30)
+    exact = compute_expansion(2).b[2].embed(30)
     with mp.workdps(40):
         assert est.consistent
         assert abs(est.value - exact) < mp.mpf("5e-4")
@@ -91,7 +91,7 @@ def test_b2_against_numeric_extraction():
 
 def test_c1_equals_b1_and_round_trip():
     J = 6
-    r = compute_expansion(J, precision=30)
+    r = compute_expansion(J)
     assert r.c[0] == r.b[1]
     # exp(sum c_j s^j) re-expanded must equal 1 + sum b_j s^j exactly
     trunc = 2 * J
@@ -109,7 +109,7 @@ def test_reality_and_subfield():
     # every value is real and in Q(sqrt5) by type; sharper, the Galois map
     # sqrt5 -> -sqrt5 (which swaps 1/phi and -phi) puts b_j and c_j on the
     # line sqrt5**j * Q, which a wrong power of sqrt5 anywhere would break
-    r = compute_expansion(8, precision=30)
+    r = compute_expansion(8)
     for j, x in enumerate(r.b):
         assert (x.p if j % 2 else x.q) == 0, j
     for j, x in enumerate(r.c, start=1):
@@ -117,15 +117,14 @@ def test_reality_and_subfield():
 
 
 def test_determinism():
-    a = compute_expansion(5, precision=30)
-    b = compute_expansion(5, precision=30)
-    assert a.b == b.b and a.c == b.c
-    assert a.b_float == b.b_float
+    a = compute_expansion(5)
+    b = compute_expansion(5)
+    assert a.b == b.b and a.c == b.c and a.growth == b.growth
     assert render_expansion(a) == render_expansion(b)
 
 
 def test_growth_statistics():
-    r = compute_expansion(8, precision=30)
+    r = compute_expansion(8)
     assert len(r.growth) == 8
     assert abs(r.growth[0] - 0.05590169943749474) < 1e-15
 
@@ -134,7 +133,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         compute_expansion(0)
     with pytest.raises(ValueError):
-        compute_expansion(3, precision=0)
+        render_expansion(compute_expansion(3), precision=0)
     with pytest.raises(ValueError):
         assembled_series(0)
     with pytest.raises(ValueError):
@@ -142,18 +141,19 @@ def test_validation_errors():
 
 
 def test_render_order_one_row_counts():
-    r = compute_expansion(1, precision=20)
-    doc = json.loads(render_expansion(r, "json"))
+    r = compute_expansion(1)
+    doc = json.loads(render_expansion(r, "json", precision=20))
     assert doc["schema_version"] == 1
+    assert doc["precision"] == 20
     assert len(doc["b"]) == 2  # exactly b_0 and b_1
     assert len(doc["c"]) == 1
     assert doc["b"][1]["q"] == "1/40"
 
 
 def test_render_csv_json_parity():
-    r = compute_expansion(3, precision=25)
-    doc = json.loads(render_expansion(r, "json"))
-    csv_lines = render_expansion(r, "csv").strip().splitlines()
+    r = compute_expansion(3)
+    doc = json.loads(render_expansion(r, "json", precision=25))
+    csv_lines = render_expansion(r, "csv", precision=25).strip().splitlines()
     assert csv_lines[0] == "series,j,p,q,value"
     body = [ln.split(",") for ln in csv_lines[1:]]
     b_rows = [row for row in body if row[0] == "b"]
@@ -200,7 +200,7 @@ def test_smaller_order_is_prefix_of_larger(orders):
     small, small_series = _cold(j1)
     _cold(j2)
     sliced = compute_expansion(j1)
-    assert sliced.b == small.b and sliced.c == small.c
+    assert sliced.b == small.b and sliced.c == small.c and sliced.growth == small.growth
     assert assembled_series(j1) == small_series
 
 

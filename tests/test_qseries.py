@@ -227,7 +227,7 @@ def test_residual_order_property_through_j3():
     # factor 4 across a halving of s, for J <= 3
     from unclosed.expansion import compute_expansion
 
-    exact = compute_expansion(3, precision=40)
+    exact = compute_expansion(3)
     ctx = PrecisionContext(digits=100)
     with mp.workdps(110):
         bnum = [x.embed(80) for x in exact.b]

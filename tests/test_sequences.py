@@ -8,15 +8,11 @@ import pytest
 from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, ZERO
 from unclosed.qseries import PrecisionContext, log_poch_check
 from unclosed.sequences import (
-    DEFAULT_MAX_ORDER,
     bernoulli_half,
     bernoulli_number,
-    bernoulli_numbers,
     eulerian_row,
-    eulerian_triangle,
     fibonacci,
     polylog_delta,
-    polylog_delta_table,
 )
 
 
@@ -91,11 +87,9 @@ def test_eulerian_row_sums_are_factorials():
 
 
 def test_eulerian_triangle_bounds():
-    tri = eulerian_triangle(5)
-    assert len(tri) == 6
-    assert tri[3] == (1, 4, 1)
-    with pytest.raises(ValueError):
-        eulerian_triangle(DEFAULT_MAX_ORDER + 1)
+    # the row of n has n entries, except the conventional (1,) at n = 0
+    assert [len(eulerian_row(n)) for n in range(6)] == [1, 1, 2, 3, 4, 5]
+    assert eulerian_row(3) == (1, 4, 1)
     with pytest.raises(ValueError):
         eulerian_row(-1)
 
@@ -110,8 +104,7 @@ def test_bernoulli_values():
 
 def test_bernoulli_recurrence_invariant():
     # the table comes from mpmath; the defining recurrence is the oracle
-    table = bernoulli_numbers(64)
-    assert len(table) == 65
+    table = [bernoulli_number(n) for n in range(65)]
     assert all(type(b) is Fraction for b in table)
     for n in range(1, 65):
         acc = sum(math.comb(n + 1, j) * table[j] for j in range(n + 1))
@@ -214,8 +207,7 @@ def test_delta_table_values():
     assert polylog_delta(0) == SQRT5
     assert polylog_delta(1) == FieldElem(4)
     assert polylog_delta(2) == SQRT5 * 8
-    table = polylog_delta_table(20)
-    assert len(table) == 21
+    table = [polylog_delta(n) for n in range(21)]
     # sqrt5 -> -sqrt5 swaps 1/phi and -phi, so delta(n) lies in sqrt5**(n+1) * Q
     for n, v in enumerate(table):
         assert (v.p if n % 2 == 0 else v.q) == 0
@@ -232,18 +224,16 @@ def test_delta_matches_two_polylog_definition():
 
 def test_delta_coordinates_are_integers():
     # the Fibonacci route sums integers only, so no denominator can appear
-    for n in range(DEFAULT_MAX_ORDER + 1):
+    for n in range(65):
         v = polylog_delta(n)
         assert v.p.denominator == 1 and v.q.denominator == 1, n
 
 
 def test_delta_table_caps():
-    # the table stops at the cap; single values grow past it on demand
-    with pytest.raises(ValueError):
-        polylog_delta_table(DEFAULT_MAX_ORDER + 1)
+    # `tables` stops at n = 64 (tests/test_cli.py); single values grow past it
     with pytest.raises(ValueError):
         polylog_delta(-1)
-    v = polylog_delta(DEFAULT_MAX_ORDER + 1)
+    v = polylog_delta(65)
     assert v.p.denominator == 1 and v.q.denominator == 1
 
 
