@@ -19,8 +19,8 @@ from unclosed.series import exponent_series
 J = 8
 
 print("=== the exponent series, leading terms ===")
-# powers through t^m are complete once summands up to index m+1 are included
-ser = exponent_series(5, 4)
+# the damping -sqrt5/24 sits in the t^2 line, as its w^0 term
+ser = exponent_series(4)
 for m in ser.powers():
     print(f"  t^{m}: {ser.coeff(m)!r}")
 print()

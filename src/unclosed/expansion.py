@@ -5,8 +5,9 @@
 under a formal log, all as exact elements of Q(sqrt5), together with the
 growth roots |b_j|**(1/j).  An exact result depends only on the order asked
 for; `render_expansion` alone turns it into decimal strings, at the
-precision it is given.  Computing b_1..b_J requires the exponent series
-truncated at t**(2J) with summands up to index 2J+1.
+precision it is given.  b_1..b_J are the Gaussian means of the even powers
+of exp(exponent series), the exponent, damping included, truncated at
+t**(2J); c_1..c_J are the formal log of the scalar series they form.
 
 Only the largest order built so far is cached, and a smaller order is its
 prefix: summand k of the exponent first enters at t**(k-1), so truncation
@@ -22,8 +23,8 @@ from typing import Optional, Tuple
 
 import mpmath as mp
 
-from .field import FieldElem, ONE
-from .series import PuiseuxSeries, VPoly, damping_term, exponent_series, gaussian_integrate
+from .field import FieldElem
+from .series import PuiseuxSeries, exponent_series, gaussian_integrate, log_coefficients
 
 __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assembled_series"]
 
@@ -51,7 +52,7 @@ def _build(max_order: int):
         raise ValueError("max_order must be >= 1")
     if _prefix is None or _prefix[1].max_order < max_order:
         trunc = 2 * max_order
-        total = (exponent_series(2 * max_order + 1, trunc) + damping_term(trunc)).exp()
+        total = exponent_series(trunc).exp()
         b = []
         for m in range(trunc + 1):
             val = gaussian_integrate(total.coeff(m))
@@ -60,17 +61,8 @@ def _build(max_order: int):
                     raise ArithmeticError(f"odd power t^{m} integrated to a nonzero value")
                 continue
             b.append(val)
-        if b[0] != ONE:
-            raise ArithmeticError("constant coefficient is not 1")
-        # exponential form: formal log of 1 + sum_j b_j s^j with s = t**2
-        bseries = PuiseuxSeries(trunc, {2 * j: VPoly([bj]) for j, bj in enumerate(b)})
-        logser = bseries.log()
-        c = []
-        for j in range(1, max_order + 1):
-            p = logser.coeff(2 * j)
-            if p.degree > 0:
-                raise ArithmeticError("log series coefficient is not constant in w")
-            c.append(p.coeff(0))
+        # exponential form: formal log of 1 + sum_j b_j s^j, which needs b_0 = 1
+        c = log_coefficients(b)
         # fixed working digits: the roots never depend on an output setting
         with mp.workdps(40):
             growth = tuple(
@@ -81,7 +73,7 @@ def _build(max_order: int):
 
 
 def assembled_series(max_order: int) -> PuiseuxSeries:
-    """exp(exponent series + damping) truncated at t**(2*max_order)."""
+    """exp(exponent series), damping included, truncated at t**(2*max_order)."""
     total = _build(max_order)[0]
     trunc = 2 * max_order
     return PuiseuxSeries(trunc, {m: p for m, p in total.terms.items() if m <= trunc})

@@ -213,13 +213,15 @@ def extract_coefficient(
         raise ValueError("j must be >= 1")
     if len(s_grid) < 2:
         raise ValueError("need at least two grid points")
+    svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
+    if any(a == b for a, b in zip(svals, svals[1:])):
+        raise ValueError("grid points must be distinct")
     if ctx is None:
         ctx = _context_for(min(s_grid, key=lambda x: float(mp.mpf(x))), out_digits=10)
     lower: List[mp.mpf] = [mp.mpf(1)]
     if j >= 2:
         result = compute_expansion(j - 1)
         lower += [x.embed(ctx.digits) for x in result.b[1:]]
-    svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     ests = []
     with mp.workdps(ctx.digits + GUARD_DIGITS):
         for smp in svals:

@@ -6,21 +6,22 @@ of Q(sqrt5) times (i * 5**(-1/4))**j.  The graded variable
 
     w = i * v / 5**(1/4)
 
-absorbs that factor, so every coefficient in w lies in Q(sqrt5).  Products,
-exp and log keep the grading, and Gaussian integration becomes
+absorbs that factor, so every coefficient in w lies in Q(sqrt5).  exp keeps
+the grading, and Gaussian integration becomes
 E[w**(2m)] = (-1/sqrt5)**m * (2m-1)!! with odd powers giving 0.
 
 `VPoly` is a dense polynomial in w over Q(sqrt5), stored as two lists of
 integer numerators P, Q and one shared positive denominator d: the w**j
 coefficient is (P[j] + Q[j]*sqrt5) / d.  The denominator is reduced by one
-gcd pass per polynomial, never per coefficient operation, so products and
-sums are plain int multiply-adds.  `PuiseuxSeries` maps integer powers of t
-to VPoly values up to a fixed truncation order; arithmetic never reads past
-the truncation.  exp and log put each step of their coefficient recurrence
-over one common denominator and reduce once per step.  `exponent_series`
-assembles the exponent: each degree-(k+1) shifted Bernoulli polynomial
-enters at base power t**(2k), and its w**j monomial is pushed down to
-t**(2k-j).
+gcd pass per polynomial, never per coefficient operation, so products are
+plain int multiply-adds.  `PuiseuxSeries` maps integer powers of t to VPoly
+values up to a fixed truncation order; its exp never reads past the
+truncation.  `exponent_series` assembles the exponent, damping included:
+each degree-(k+1) shifted Bernoulli polynomial enters at base power
+t**(2k), and its w**j monomial is pushed down to t**(2k-j).
+`log_coefficients` is the formal log of a scalar series in s = t**2.  exp
+and log put each step of their coefficient recurrence over one common
+denominator and reduce once per step.
 
 Everything here is exact; zero coefficients are detected by exact equality.
 `FieldElem` stays the exchange type: `VPoly.coeff`, `VPoly.coeffs` and
@@ -30,14 +31,13 @@ Everything here is exact; zero coefficients are detected by exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .field import FieldElem, ONE, SQRT5, ZERO
 from .sequences import bernoulli_half, polylog_delta
 
-__all__ = ["VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series"]
+__all__ = ["VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series", "log_coefficients"]
 
 ScalarLike = Union[int, Fraction, FieldElem]
 
@@ -134,10 +134,6 @@ class VPoly:
         return cls([ZERO] * degree + [_as_field(coeff)])
 
     @property
-    def degree(self) -> int:
-        return len(self.P) - 1
-
-    @property
     def coeffs(self) -> Tuple[FieldElem, ...]:
         return tuple(self.coeff(j) for j in range(len(self.P)))
 
@@ -148,15 +144,6 @@ class VPoly:
         if not 0 <= j < len(self.P):
             return ZERO
         return FieldElem(Fraction(self.P[j], self.d), Fraction(self.Q[j], self.d))
-
-    def __add__(self, other: "VPoly") -> "VPoly":
-        if not isinstance(other, VPoly):
-            return NotImplemented
-        g = gcd(self.d, other.d)
-        f, h = other.d // g, self.d // g
-        P = [a * f + b * h for a, b in zip_longest(self.P, other.P, fillvalue=0)]
-        Q = [a * f + b * h for a, b in zip_longest(self.Q, other.Q, fillvalue=0)]
-        return VPoly._from_ints(P, Q, self.d * f)
 
     def __eq__(self, other):
         if not isinstance(other, VPoly):
@@ -198,21 +185,6 @@ class PuiseuxSeries:
     def powers(self):
         return sorted(self.terms)
 
-    def _require_same_order(self, other: "PuiseuxSeries"):
-        if self.trunc_order != other.trunc_order:
-            raise ValueError(
-                f"truncation orders differ: {self.trunc_order} vs {other.trunc_order}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        out = dict(self.terms)
-        for m, p in other.terms.items():
-            out[m] = out.get(m, VPoly.zero()) + p
-        return PuiseuxSeries(self.trunc_order, out)
-
     def __eq__(self, other):
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
@@ -235,25 +207,6 @@ class PuiseuxSeries:
                 em = VPoly._from_ints(P, Q, m * D)
                 if not em.is_zero():
                     out[m] = em
-        return PuiseuxSeries(self.trunc_order, out)
-
-    def log(self) -> "PuiseuxSeries":
-        """Formal logarithm; requires constant term exactly 1.
-
-        m*L_m = m*a_m - sum_{r<m} r*L_r*a_{m-r}, one common denominator per step.
-        """
-        if self.coeff(0) != VPoly.one():
-            raise ValueError("log needs a series with constant term 1")
-        out: Dict[int, VPoly] = {}
-        for m in range(1, self.trunc_order + 1):
-            terms = [(-r, lr, self.terms[m - r]) for r, lr in out.items() if m - r in self.terms]
-            if m in self.terms:
-                terms.append((m, self.terms[m], VPoly.one()))
-            if terms:
-                P, Q, D = _weighted_sum(terms)
-                lm = VPoly._from_ints(P, Q, m * D)
-                if not lm.is_zero():
-                    out[m] = lm
         return PuiseuxSeries(self.trunc_order, out)
 
 
@@ -299,23 +252,24 @@ def gaussian_integrate(p: VPoly) -> FieldElem:
 # ----------------------------------------------------------------------
 
 
-def exponent_series(max_index: int, trunc_order: int) -> PuiseuxSeries:
-    """Exponent series in t = sqrt(s) after the Gaussian substitution.
+def exponent_series(trunc_order: int) -> PuiseuxSeries:
+    """Exponent series in t = sqrt(s) after the Gaussian substitution, truncated at t**trunc_order.
 
-    Summand k (2 <= k <= max_index) contributes, for each monomial w**j of
-    the degree-(k+1) Bernoulli polynomial shifted to 1/2,
+    Summand k contributes, for each monomial w**j of the degree-(k+1)
+    Bernoulli polynomial shifted to 1/2,
 
         polylog_delta(k-1)/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2) * w**j * t**(2k-j),
 
     which lies in Q(sqrt5) because w = i * v / 5**(1/4) carries the scale.
-
-    The lowest power produced by summand k is t**(k-1), so the result has
+    Its lowest power is t**(k-1), so summands 2..trunc_order+1 give every
+    power through the truncation.  The damping -sqrt(5)/24 * t**2, carried
+    inside the same exponential, fills the t**2, w**0 slot.  The result has
     strictly positive valuation and can be fed to `PuiseuxSeries.exp`.
     """
-    if max_index < 2:
-        raise ValueError("max_index must be >= 2")
     rows: Dict[int, Dict[int, FieldElem]] = {}
-    for k in range(2, max_index + 1):
+    if trunc_order >= 2:
+        rows[2] = {0: SQRT5 * Fraction(-1, 24)}
+    for k in range(2, trunc_order + 2):
         ck = polylog_delta(k - 1) * Fraction(1, factorial(k + 1))
         for j in range(k + 2):
             m = 2 * k - j
@@ -326,19 +280,26 @@ def exponent_series(max_index: int, trunc_order: int) -> PuiseuxSeries:
                 continue
             row = rows.setdefault(m, {})
             row[j] = row.get(j, ZERO) + ck * bh
-
-    terms: Dict[int, VPoly] = {}
-    for m, row in rows.items():
-        size = max(row) + 1
-        coeffs = [ZERO] * size
-        for j, c in row.items():
-            coeffs[j] = c
-        terms[m] = VPoly(coeffs)
+    terms = {m: VPoly([row.get(j, ZERO) for j in range(max(row) + 1)]) for m, row in rows.items()}
     return PuiseuxSeries(trunc_order, terms)
 
 
-def damping_term(trunc_order: int) -> PuiseuxSeries:
-    """The extra -sqrt(5)/24 * t**2 carried inside the same exponential."""
-    if trunc_order < 2:
-        return PuiseuxSeries(trunc_order, {})
-    return PuiseuxSeries(trunc_order, {2: VPoly([SQRT5 * Fraction(-1, 24)])})
+# ----------------------------------------------------------------------
+# the exponential form
+# ----------------------------------------------------------------------
+
+
+def log_coefficients(b: Sequence[FieldElem]) -> List[FieldElem]:
+    """c_1..c_J with sum_j c_j s**j = log(sum_j b_j s**j), for b = [1, b_1, .., b_J].
+
+    j*c_j = j*b_j - sum_{r<j} r*c_r*b_{j-r}, one common denominator per step.
+    """
+    B = [VPoly([x]) for x in b]
+    if B[0] != VPoly.one():
+        raise ValueError("log needs a series with constant term 1")
+    C: List[VPoly] = []  # C[r - 1] is c_r
+    for j in range(1, len(B)):
+        terms = [(j, B[j], B[0])] + [(-r, C[r - 1], B[j - r]) for r in range(1, j)]
+        P, Q, D = _weighted_sum(terms)
+        C.append(VPoly._from_ints(P, Q, j * D))
+    return [p.coeff(0) for p in C]

@@ -85,7 +85,10 @@ def test_ac10_fails_on_wrong_moment_sign(monkeypatch):
 def test_ac10_fails_on_broken_grading(monkeypatch, power, degree, key):
     # a w**degree term on t**power breaks "w-degree = t-power mod 2"
     good = suites.assembled_series(suites.DIVERGENCE_ORDER)
-    bad = good + PuiseuxSeries(good.trunc_order, {power: VPoly.monomial(degree)})
+    p = good.coeff(power)
+    coeffs = [p.coeff(j) for j in range(max(len(p.P), degree + 1))]
+    coeffs[degree] = coeffs[degree] + ONE
+    bad = PuiseuxSeries(good.trunc_order, {**good.terms, power: VPoly(coeffs)})
     monkeypatch.setattr(suites, "assembled_series", lambda order: bad)
     result = run_suite("parity")
     assert not result.ok

@@ -90,19 +90,19 @@ def test_b2_against_numeric_extraction():
 
 
 def test_c1_equals_b1_and_round_trip():
-    J = 6
-    r = compute_expansion(J)
-    assert r.c[0] == r.b[1]
-    # exp(sum c_j s^j) re-expanded must equal 1 + sum b_j s^j exactly
-    trunc = 2 * J
-    cser = PuiseuxSeries(trunc, {2 * (j + 1): VPoly([cj]) for j, cj in enumerate(r.c)})
-    back = cser.exp()
-    for j in range(J + 1):
-        p = back.coeff(2 * j)
-        assert p.degree <= 0
-        assert p.coeff(0) == r.b[j]
-    for m in range(1, trunc + 1, 2):
-        assert back.coeff(m).is_zero()
+    for J in (6, 12, 24):
+        r = compute_expansion(J)
+        assert r.c[0] == r.b[1]
+        # exp(sum c_j s^j) re-expanded must equal 1 + sum b_j s^j exactly
+        trunc = 2 * J
+        cser = PuiseuxSeries(trunc, {2 * (j + 1): VPoly([cj]) for j, cj in enumerate(r.c)})
+        back = cser.exp()
+        for j in range(J + 1):
+            p = back.coeff(2 * j)
+            assert len(p.P) <= 1  # constant in w
+            assert p.coeff(0) == r.b[j]
+        for m in range(1, trunc + 1, 2):
+            assert back.coeff(m).is_zero()
 
 
 def test_reality_and_subfield():
@@ -176,15 +176,12 @@ def test_assembled_series_odd_powers_integrate_to_zero():
 
 
 def test_truncation_discipline_captures_all_summands():
-    # the pipeline stops the exponent assembly at index 2J+1; any higher
-    # summand only produces powers past t^(2J), so adding more must be a no-op
-    from unclosed.series import damping_term, exponent_series
-
-    J = 3
-    trunc = 2 * J
-    base = (exponent_series(2 * J + 1, trunc) + damping_term(trunc)).exp()
-    more = (exponent_series(2 * J + 4, trunc) + damping_term(trunc)).exp()
-    assert base == more
+    # exponent_series(T) stops at summand T+1; any higher summand only
+    # produces powers past t^T, so three more must leave powers <= T alone
+    T = 6
+    more = exponent_series(T + 3)
+    restricted = PuiseuxSeries(T, {m: p for m, p in more.terms.items() if m <= T})
+    assert restricted == exponent_series(T)
 
 
 def _cold(order):

@@ -7,10 +7,13 @@ covers the package modules and the demos.
 The dead-code guard flags a module-level function or class, or a method
 other than a dunder, defined in `src/unclosed/` that no code in `src/` or
 `demos/` references by name outside the definition's own body.  A reference
-is a loaded `ast.Name`, a loaded `ast.Attribute` or an import alias.  Names
-are matched bare, so a definition whose name is referenced anywhere counts as
-used: the guard can miss dead code but does not flag live code.  Dunder
-methods are out of scope, since the interpreter calls them by operator.
+to a function or class is a loaded `ast.Name`, a loaded `ast.Attribute` or an
+import alias; a method is reached only through an attribute, so a loaded
+`ast.Name` (a parameter or local of the same name) does not count for it.
+Names are otherwise matched without their owner, so a definition whose name
+is referenced anywhere counts as used: the guard can miss dead code but does
+not flag live code.  Dunder methods are out of scope, since the interpreter
+calls them by operator.
 """
 
 import ast
@@ -51,41 +54,48 @@ def used_names(tree):
 
 
 def referenced_names(node):
-    """Count of each name that `node` loads or imports."""
-    refs = Counter()
+    """Counts of the names `node` loads bare, and of those it loads as an attribute or imports."""
+    bare, qualified = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            refs[sub.id] += 1
+            bare[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            refs[sub.attr] += 1
+            qualified[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            refs[sub.name.rpartition(".")[2]] += 1
-    return refs
+            qualified[sub.name.rpartition(".")[2]] += 1
+    return bare, qualified
 
 
 def definitions(tree):
-    """(qualified name, node) of each module-level function or class and each non-dunder method."""
+    """(qualified name, node, is method) of each module-level function or class and each
+    non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 is_method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 if is_method and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item, True
 
 
 def unreferenced(package, others):
     """'module.name' of each definition in `package` ({module: tree}) referenced nowhere else."""
-    total = Counter()
+    bare, qualified = Counter(), Counter()
     for tree in [*package.values(), *others]:
-        total += referenced_names(tree)
+        b, q = referenced_names(tree)
+        bare += b
+        qualified += q
     dead = []
     for module, tree in package.items():
-        for qualname, node in definitions(tree):
+        for qualname, node, is_method in definitions(tree):
             if f"{module}.{qualname}" in ENTRY_POINTS:
                 continue
-            if total[node.name] == referenced_names(node)[node.name]:
+            own_bare, own_qualified = referenced_names(node)
+            refs = qualified[node.name] - own_qualified[node.name]
+            if not is_method:
+                refs += bare[node.name] - own_bare[node.name]
+            if not refs:
                 dead.append(f"{module}.{qualname}")
     return dead
 
@@ -124,9 +134,12 @@ def test_no_unreferenced_definitions():
 
 
 def test_detects_an_unreferenced_method():
+    # `size` is also a parameter of `used`; a bare name never reaches the method
     planted = ast.parse(
         "class C:\n"
-        "    def used(self):\n"
+        "    def used(self, size):\n"
+        "        return [0] * size\n"
+        "    def size(self):\n"
         "        return 1\n"
         "    def dead(self):\n"
         "        return self.dead()\n"
@@ -135,6 +148,8 @@ def test_detects_an_unreferenced_method():
         "def helper():\n"
         "    return helper()\n"
     )
-    demo = ast.parse("from m import C\nC().used()\n")
-    assert unreferenced({"m": planted}, [demo]) == ["m.C.dead", "m.helper"]
-    assert unreferenced({"m": planted}, []) == ["m.C", "m.C.used", "m.C.dead", "m.helper"]
+    demo = ast.parse("from m import C\nC().used(2)\n")
+    assert unreferenced({"m": planted}, [demo]) == ["m.C.size", "m.C.dead", "m.helper"]
+    assert unreferenced({"m": planted}, []) == [
+        "m.C", "m.C.used", "m.C.size", "m.C.dead", "m.helper"
+    ]

@@ -248,6 +248,8 @@ def test_extract_coefficient_validation_and_warning():
         extract_coefficient(0, ["0.1", "0.05"])
     with pytest.raises(ValueError):
         extract_coefficient(1, ["0.1"])
+    with pytest.raises(ValueError, match="distinct"):
+        extract_coefficient(2, ["0.1", "0.10"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = extract_coefficient(1, ["4.0", "2.0"], PrecisionContext(digits=60))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
@@ -13,9 +14,9 @@ from unclosed.series import (
     VPoly,
     _even_moment,
     _weighted_sum,
-    damping_term,
     exponent_series,
     gaussian_integrate,
+    log_coefficients,
 )
 
 
@@ -62,6 +63,21 @@ def naive_product(x, y):
     return out
 
 
+def degree(p):
+    return len(p.P) - 1
+
+
+def add(p, q):
+    # coefficientwise sum in FieldElem arithmetic
+    return VPoly([p.coeff(j) + q.coeff(j) for j in range(max(len(p.P), len(q.P)))])
+
+
+def series_sum(x, y):
+    return PuiseuxSeries(
+        x.trunc_order, {m: add(x.coeff(m), y.coeff(m)) for m in set(x.terms) | set(y.terms)}
+    )
+
+
 def series_product(x, y):
     # truncated Cauchy product through naive_product, sharing no code with the kernel
     out = {}
@@ -69,12 +85,26 @@ def series_product(x, y):
         for m2, p2 in y.terms.items():
             if m1 + m2 <= x.trunc_order:
                 prod = VPoly(naive_product(p1.coeffs, p2.coeffs))
-                out[m1 + m2] = out.get(m1 + m2, VPoly.zero()) + prod
+                out[m1 + m2] = add(out.get(m1 + m2, VPoly.zero()), prod)
     return PuiseuxSeries(x.trunc_order, out)
 
 
 def one_series(trunc):
     return PuiseuxSeries(trunc, {0: VPoly.one()})
+
+
+def power_sum_exp(a):
+    # truncated sum_n a**n / n! through series_product, sharing no code with
+    # the exp recurrence; a**n vanishes past the truncation once n > trunc
+    total, power = one_series(a.trunc_order), one_series(a.trunc_order)
+    for n in range(1, a.trunc_order + 1):
+        power = series_product(power, a)
+        if not power.terms:
+            break
+        scaled = {m: VPoly([c * Fraction(1, factorial(n)) for c in p.coeffs])
+                  for m, p in power.terms.items()}
+        total = series_sum(total, PuiseuxSeries(a.trunc_order, scaled))
+    return total
 
 
 def kernel_coeffs(terms, n):
@@ -89,14 +119,15 @@ def kernel_coeffs(terms, n):
 
 def test_vpoly_trims_trailing_zeros():
     p = VPoly([ONE, ZERO, ZERO])
-    assert p.degree == 0
+    assert degree(p) == 0
     assert VPoly([ZERO]).is_zero()
 
 
 def test_vpoly_arithmetic():
-    v = VPoly.monomial(1)
-    assert (v + v) == VPoly.monomial(1, 2)
-    assert (v + VPoly.monomial(1, -1)).is_zero()
+    # sums run through the product kernel: w*1 + w*1 = 2w, w*1 - w*1 = 0
+    v, minus_v, one = VPoly.monomial(1), VPoly.monomial(1, -1), VPoly.one()
+    assert VPoly._from_ints(*_weighted_sum([(1, v, one), (1, v, one)])) == VPoly.monomial(1, 2)
+    assert VPoly._from_ints(*_weighted_sum([(1, v, one), (1, minus_v, one)])).is_zero()
 
 
 @given(coeff_lists, coeff_lists, st.integers(-6, 6))
@@ -105,7 +136,6 @@ def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, k):
     n = len(x) + len(y)
     xs, ys = pad(x, n), pad(y, n)
     assert coeff_list(px, n) == xs
-    assert coeff_list(px + py, n) == [a + b for a, b in zip(xs, ys)]
     # the product kernel, one weighted term and a two-term sum k*x*y - x*x
     xy, xx = pad(naive_product(x, y), n), pad(naive_product(x, x), n)
     assert kernel_coeffs([(k, px, py)], n) == [c * k for c in xy]
@@ -113,32 +143,15 @@ def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, k):
         a * k - b for a, b in zip(xy, xx)
     ]
     # canonical form: equal polynomials store equal numerators and denominator
-    back = (px + py) + VPoly([-c for c in y])
+    P, Q, D = _weighted_sum([(6, px, VPoly([FieldElem(Fraction(1, 3))]))])
+    back = VPoly._from_ints(P, Q, 2 * D)
     assert (back.P, back.Q, back.d) == (px.P, px.Q, px.d)
-    assert px.degree == max((j for j, c in enumerate(x) if not c.is_zero()), default=-1)
+    assert degree(px) == max((j for j, c in enumerate(x) if not c.is_zero()), default=-1)
 
 
 # ----------------------------------------------------------------------
 # PuiseuxSeries arithmetic
 # ----------------------------------------------------------------------
-
-
-def test_series_add_identity_and_merge():
-    rng = random.Random(1)
-    x = random_series(rng)
-    assert x + PuiseuxSeries(x.trunc_order, {}) == x
-    a = PuiseuxSeries(4, {1: VPoly.monomial(1)})
-    b = PuiseuxSeries(4, {2: VPoly.monomial(2)})
-    merged = a + b
-    assert merged.coeff(1) == VPoly.monomial(1)
-    assert merged.coeff(2) == VPoly.monomial(2)
-    double = a + a
-    assert double.coeff(1) == VPoly.monomial(1, 2)
-
-
-def test_series_add_order_mismatch():
-    with pytest.raises(ValueError):
-        PuiseuxSeries(3, {}) + PuiseuxSeries(4, {})
 
 
 def test_series_rejects_bad_powers():
@@ -149,7 +162,7 @@ def test_series_rejects_bad_powers():
 
 
 # ----------------------------------------------------------------------
-# exp / log
+# exp
 # ----------------------------------------------------------------------
 
 
@@ -167,31 +180,50 @@ def test_exp_requires_positive_valuation():
         one_series(3).exp()
 
 
+def scalar_series(trunc, coeffs):
+    # sum_j coeffs[j-1] s**j as a series in t = sqrt(s)
+    return PuiseuxSeries(trunc, {2 * j: VPoly([c]) for j, c in enumerate(coeffs, 1)})
+
+
+def log_round_trip(c):
+    # exp through the power sum, then back through log_coefficients
+    e = power_sum_exp(scalar_series(2 * len(c), c))
+    b = [e.coeff(2 * j).coeff(0) for j in range(len(c) + 1)]
+    assert all(degree(e.coeff(m)) <= 0 for m in e.powers())
+    return log_coefficients(b)
+
+
 def test_log_examples():
-    assert one_series(5).log() == PuiseuxSeries(5, {})
+    assert log_coefficients([ONE]) == []
     with pytest.raises(ValueError):
-        PuiseuxSeries(3, {}).log()
-    # log(1 + b1 t^2) starts with b1 t^2
+        log_coefficients([ZERO, ONE])
+    # log(1 + b1 s) = b1 s - b1**2/2 s**2 + b1**3/3 s**3
     b1 = SQRT5 * Fraction(1, 40)
-    x = PuiseuxSeries(6, {0: VPoly.one(), 2: VPoly([b1])})
-    lg = x.log()
-    assert lg.coeff(2) == VPoly([b1])
+    assert log_coefficients([ONE, b1, ZERO, ZERO]) == [
+        b1, b1 * b1 * Fraction(-1, 2), b1 * b1 * b1 * Fraction(1, 3)
+    ]
+    # exp(b1 t^2) = 1 + b1 t^2 + b1**2/2 t^4 + b1**3/6 t^6, against the power sum
+    e = scalar_series(6, [b1]).exp()
+    assert e == power_sum_exp(scalar_series(6, [b1]))
+    assert [e.coeff(m) for m in e.powers()] == [
+        VPoly([ONE]), VPoly([b1]), VPoly([b1 * b1 * Fraction(1, 2)]),
+        VPoly([b1 * b1 * b1 * Fraction(1, 6)]),
+    ]
 
 
 def test_exp_log_round_trip_random():
     rng = random.Random(4)
     for _ in range(8):
         x = random_series(rng, trunc=8, from_power=1)
-        assert x.exp().log() == x
-        y = one_series(8) + random_series(rng, trunc=8, from_power=1)
-        assert y.log().exp() == y
+        assert x.exp() == power_sum_exp(x)
+        c = [random_vpoly(rng, max_deg=0).coeff(0) for _ in range(4)]
+        assert log_round_trip(c) == c
 
 
-@given(positive_valuation_series())
-def test_log_exp_round_trip_property(a):
-    assert a.exp().log() == a
-    one_plus_a = one_series(a.trunc_order) + a
-    assert one_plus_a.log().exp() == one_plus_a
+@given(positive_valuation_series(), st.lists(field_elems, min_size=1, max_size=4))
+def test_log_exp_round_trip_property(a, c):
+    assert a.exp() == power_sum_exp(a)
+    assert log_round_trip(c) == c
 
 
 def test_exp_is_multiplicative():
@@ -199,7 +231,7 @@ def test_exp_is_multiplicative():
     for _ in range(5):
         a = random_series(rng, trunc=6, from_power=1)
         b = random_series(rng, trunc=6, from_power=1)
-        assert (a + b).exp() == series_product(a.exp(), b.exp())
+        assert series_sum(a, b).exp() == series_product(a.exp(), b.exp())
 
 
 # ----------------------------------------------------------------------
@@ -246,54 +278,59 @@ def test_gaussian_moments_table():
 
 
 def test_exponent_series_leading_terms():
-    ser = exponent_series(3, 2)
+    ser = exponent_series(2)
     # t^1 coefficient: (2/3) w^3
     t1 = ser.coeff(1)
-    assert t1.degree == 3
+    assert degree(t1) == 3
     assert t1.coeff(3) == FieldElem(Fraction(2, 3))
     assert t1.coeff(0).is_zero() and t1.coeff(1).is_zero() and t1.coeff(2).is_zero()
-    # t^2 coefficient: (sqrt5/3) w^4
+    # t^2 coefficient: (sqrt5/3) w^4 and the damping -sqrt5/24
     t2 = ser.coeff(2)
-    assert t2.degree == 4
+    assert degree(t2) == 4
     assert t2.coeff(4) == SQRT5 * Fraction(1, 3)
-    assert all(t2.coeff(j).is_zero() for j in range(4))
+    assert t2.coeff(0) == SQRT5 * Fraction(-1, 24)
+    assert all(t2.coeff(j).is_zero() for j in range(1, 4))
 
 
 def test_exponent_series_trunc_zero_is_empty():
-    assert exponent_series(2, 0) == PuiseuxSeries(0, {})
+    assert exponent_series(0) == PuiseuxSeries(0, {})
     with pytest.raises(ValueError):
-        exponent_series(1, 4)
+        exponent_series(-1)
 
 
 def test_exponent_series_exp_second_order():
-    # t^2 coefficient of the exponential: (sqrt5/3) w^4 + (2/9) w^6
-    ser = exponent_series(5, 4).exp()
+    # t^2 coefficient of the exponential: -sqrt5/24 + (sqrt5/3) w^4 + (2/9) w^6
+    ser = exponent_series(4).exp()
     t2 = ser.coeff(2)
     assert t2.coeff(4) == SQRT5 * Fraction(1, 3)
     assert t2.coeff(6) == FieldElem(Fraction(2, 9))
-    assert t2.coeff(0).is_zero() and t2.coeff(2).is_zero()
+    assert t2.coeff(0) == SQRT5 * Fraction(-1, 24)
+    assert t2.coeff(2).is_zero()
 
 
 def test_exponent_series_matches_direct_numeric_sum():
     # assembled series at (t, w = i v / 5**(1/4)) == direct sum of the defining
-    # terms with the substituted argument, evaluated independently with mpmath
+    # terms with the substituted argument, evaluated independently with mpmath;
+    # monomial t**m w**j comes from summand (m + j) / 2, so summands <= N are
+    # those with m + j <= 2N, and the damping (m, j) = (2, 0) is among them
     N, s, v = 6, mp.mpf("1e-4"), mp.mpf("0.3")
-    ser = exponent_series(N, 2 * N)
+    ser = exponent_series(2 * N)
     t = mp.sqrt(s)
     with mp.workdps(50):
         w = mp.mpc(0, 1) * v / mp.root(5, 4)
     with mp.workdps(50):
         assembled = mp.fsum(
-            mp.polyval([c.embed(40) for c in reversed(ser.coeff(m).coeffs)], w) * t ** m
+            c.embed(40) * w ** j * t ** m
             for m in ser.powers()
+            for j, c in enumerate(ser.coeff(m).coeffs)
+            if m + j <= 2 * N
         )
-        direct = mp.mpc(0)
+        direct = -mp.sqrt(5) / 24 * s
         arg = mp.mpc(0.5, 0) + mp.mpc(0, 1) * v / (mp.root(5, 4) * t)
         for k in range(2, N + 1):
             delta = polylog_delta(k - 1).embed(45)
             # Bernoulli polynomial via its defining binomial sum
             from unclosed.sequences import bernoulli_number
-            from math import comb, factorial
 
             bval = mp.mpc(0)
             for j in range(k + 2):
@@ -306,16 +343,15 @@ def test_exponent_series_matches_direct_numeric_sum():
 
 def test_exponent_series_parity_and_degree_bound():
     trunc = 10
-    ser = exponent_series(trunc + 1, trunc)
+    ser = exponent_series(trunc)
     for m in ser.powers():
         p = ser.terms[m]
-        assert p.degree <= 3 * m
+        assert degree(p) <= 3 * m
         for j, c in enumerate(p.coeffs):
             if (j - m) % 2:  # v-degree and t-power always share parity
                 assert c.is_zero()
 
 
 def test_damping_term():
-    d = damping_term(4)
-    assert d.coeff(2) == VPoly([SQRT5 * Fraction(-1, 24)])
-    assert damping_term(1) == PuiseuxSeries(1, {})
+    assert exponent_series(4).coeff(2).coeff(0) == SQRT5 * Fraction(-1, 24)
+    assert 2 not in exponent_series(1).powers()
