@@ -126,8 +126,11 @@ def policy_context(s):
     return PrecisionContext(digits=max(30, required_digits(s, 10)))
 
 
-@pytest.mark.parametrize("s", ["0.001", "0.0023", "0.01", "0.05", "0.3", "1", "5", "20"])
+@pytest.mark.parametrize(
+    "s", ["0.0005", "0.001", "0.0023", "0.01", "0.05", "0.3", "1", "5", "20"]
+)
 def test_f_direct_matches_the_per_term_loop(s):
+    # 0.0005 is the eval floor, where the c_k recurrence rounds the most
     ctx = policy_context(s)
     value, terms = f_direct(s, ctx)
     ref, ref_terms = f_direct_by_terms(s, ctx.digits)
@@ -144,6 +147,18 @@ def test_f_direct_stops_where_the_per_term_loop_stops():
         s = mp.nstr(mp.mpf("0.02") * mp.mpf(1000) ** (mp.mpf(k) / 29), 12)
         low = max(30, required_digits(s))
         for digits in range(low, low + 40):
+            terms = f_direct(s, PrecisionContext(digits=digits))[1]
+            assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
+
+
+def test_f_direct_stops_where_the_per_term_loop_stops_at_small_s():
+    # 4 log-spaced s in [0.0012, 0.002], inside the small-s range that
+    # perfbench's numeric-small-s workload evaluates, each at 5 digit counts
+    # from the policy's up
+    for k in range(4):
+        s = mp.nstr(mp.mpf("0.0012") * (mp.mpf(5) / 3) ** (mp.mpf(k) / 3), 12)
+        low = required_digits(s)
+        for digits in range(low, low + 5):
             terms = f_direct(s, PrecisionContext(digits=digits))[1]
             assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
 
