@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, log
-from typing import Dict, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -41,12 +41,12 @@ __all__ = [
 ]
 
 
-def normalized_polylog_delta(n: int, digits: int = 50) -> mp.mpf:
-    """polylog_delta(n) * log(phi)**(n+1) / n!; approaches 1 as n grows."""
+def normalized_polylog_delta(n: int) -> mp.mpf:
+    """polylog_delta(n) * log(phi)**(n+1) / n! at 60 digits; approaches 1 as n grows."""
     exact = polylog_delta(n)
-    with mp.workdps(digits + 10):
+    with mp.workdps(70):
         logphi = mp.log(mp.phi)
-        return exact.embed(digits + 10) * logphi ** (n + 1) / mp.factorial(n)
+        return exact.embed(70) * logphi ** (n + 1) / mp.factorial(n)
 
 
 def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[float, float]:
@@ -63,11 +63,11 @@ def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[floa
 # partial exponentials with normalized Bernoulli weights
 # ----------------------------------------------------------------------
 
-_weight_cache: Dict[int, list] = {}
+_weight_cache: List[mp.mpf] = []
 
 
-def bernoulli_weight(m: int, digits: int = 30) -> mp.mpf:
-    """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m).
+def bernoulli_weight(m: int) -> mp.mpf:
+    """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m), at 30 digits.
 
     At even m >= 2 this equals B_m(1/2) * (2 pi)**m / (2 * m! * cos(pi m / 2));
     at odd m both that numerator and denominator vanish, and eta(m) =
@@ -76,42 +76,34 @@ def bernoulli_weight(m: int, digits: int = 30) -> mp.mpf:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    with mp.workdps(digits + 10):
+    with mp.workdps(40):
         return mp.altzeta(m)
 
 
-def _weights_through(k: int, digits: int) -> list:
-    key = digits
-    cache = _weight_cache.setdefault(key, [])
-    while len(cache) <= k:
-        cache.append(bernoulli_weight(len(cache), digits))
-    return cache
-
-
-def partial_exp(k: int, z, digits: int = 30, weights=None) -> mp.mpf:
-    """sum_{j=0}^{k+1} weight(k+1-j) * z**j / j! -> exp(z) as k grows."""
+def partial_exp(k: int, z) -> mp.mpf:
+    """sum_{j=0}^{k+1} weight(k+1-j) * z**j / j! at 30 digits; -> exp(z) as k grows."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    with mp.workdps(digits + 10):
+    with mp.workdps(40):
         zv = mp.mpmathify(z)
-        w = weights if weights is not None else _weights_through(k + 1, digits)
+        while len(_weight_cache) <= k + 1:
+            _weight_cache.append(bernoulli_weight(len(_weight_cache)))
         total = zv * 0
         term = mp.mpf(1)  # z**j / j!
         for j in range(k + 2):
-            total += w[k + 1 - j] * term
+            total += _weight_cache[k + 1 - j] * term
             term = term * zv / (j + 1)
         return total
 
 
 def partial_exp_max_error(k: int) -> float:
     """max over z in [-2, 2] of |partial_exp(k, z) - exp(z)|, on a uniform grid."""
-    digits, grid = 30, 41  # grid points, both ends included
-    with mp.workdps(digits + 10):
-        weights = _weights_through(k + 1, digits)
+    grid = 41  # grid points, both ends included
+    with mp.workdps(40):
         worst = mp.mpf(0)
         for idx in range(grid):
             z = mp.mpf(-2) + mp.mpf(4) * idx / (grid - 1)
-            err = abs(partial_exp(k, z, digits, weights) - mp.exp(z))
+            err = abs(partial_exp(k, z) - mp.exp(z))
             worst = max(worst, err)
         return float(worst)
 
@@ -121,16 +113,16 @@ def partial_exp_max_error(k: int) -> float:
 # ----------------------------------------------------------------------
 
 
-def exponent_sum(N: int, s, v, digits: int = 50) -> mp.mpc:
-    """sum_{k=2}^{N} polylog_delta(k-1) s**k B_{k+1}(1/2 + i v) / (k+1)! numerically."""
+def exponent_sum(N: int, s, v) -> mp.mpc:
+    """sum_{k=2}^{N} polylog_delta(k-1) s**k B_{k+1}(1/2 + i v) / (k+1)! at 60 digits."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    with mp.workdps(digits + 10):
+    with mp.workdps(70):
         smp = mp.mpf(s)
         x = mp.mpc(mp.mpf(1) / 2, v)
         total = mp.mpc(0)
         for k in range(2, N + 1):
-            delta = polylog_delta(k - 1).embed(digits + 10)
+            delta = polylog_delta(k - 1).embed(70)
             total += delta * smp ** k * mp.bernpoly(k + 1, x) / factorial(k + 1)
         return total
 
@@ -148,22 +140,18 @@ class CoshRow:
 def cosh_limit_check(
     l_values: Sequence[int] = (2, 3, 4, 5),
     v_samples: Sequence[float] = (0.0, 0.5, 1.0),
-    alpha: str = "0.25",
-    digits: int = 60,
 ) -> Tuple[CoshRow, ...]:
-    """Normalized truncation-edge behaviour of the exponent series.
+    """Normalized truncation-edge behaviour of the exponent series, at 60 digits.
 
-    With s = 2 pi log(phi) alpha, the sum truncated at index 4l+1 and divided
-    by (4l)! * alpha**(4l+1) approaches -cosh(2 pi v)/pi as l grows: the last
-    summand dominates once 4l is an appreciable multiple of 1/alpha, and its
-    even part is a symmetrized partial exponential.  Rows report the complex
-    normalized value against that target.
+    With s = 2 pi log(phi) alpha and alpha = 1/4, the sum truncated at index
+    4l+1 and divided by (4l)! * alpha**(4l+1) approaches -cosh(2 pi v)/pi as
+    l grows: the last summand dominates once 4l is an appreciable multiple
+    of 1/alpha, and its even part is a symmetrized partial exponential.
+    Rows report the complex normalized value against that target.
     """
     rows = []
-    with mp.workdps(digits + 10):
-        a = mp.mpf(alpha)
-        if not 0 < a < 1:
-            raise ValueError("alpha must be in (0, 1)")
+    with mp.workdps(70):
+        a = mp.mpf("0.25")
         logphi = mp.log(mp.phi)
         s = 2 * mp.pi * logphi * a
         for lv in l_values:
@@ -172,7 +160,7 @@ def cosh_limit_check(
             N = 4 * lv + 1
             norm = mp.factorial(4 * lv) * a ** (4 * lv + 1)
             for v in v_samples:
-                val = exponent_sum(N, s, v, digits) / norm
+                val = exponent_sum(N, s, v) / norm
                 target = -mp.cosh(2 * mp.pi * v) / mp.pi
                 rows.append(
                     CoshRow(
@@ -234,17 +222,16 @@ class GrowthReport:
 
 
 def growth_report(max_order: int = 12, ebar_max: int = 30) -> GrowthReport:
-    digits = 60
     if ebar_max < 6:
         raise ValueError("ebar_max must be >= 6")
-    raw = [normalized_polylog_delta(n, digits) for n in range(ebar_max + 1)]
+    raw = [normalized_polylog_delta(n) for n in range(ebar_max + 1)]
     values = [float(v) for v in raw]
     # subtract before converting: the deviations sink far below float eps
     errors = [float(abs(v - 1)) for v in raw]
     fit_lo, fit_hi = 5, min(30, ebar_max)
     rate, _ = fit_geometric_rate(range(fit_lo, fit_hi + 1), errors[fit_lo : fit_hi + 1])
     section = b_growth(compute_expansion(max_order))
-    cosh_rows = cosh_limit_check(digits=digits)
+    cosh_rows = cosh_limit_check()
     return GrowthReport(
         n_range=(0, ebar_max),
         ebar=tuple(values),

@@ -27,7 +27,6 @@ from .expansion import compute_expansion
 from .field import FieldElem, MINUS_PHI, PHI, PHI_INV
 
 __all__ = [
-    "PrecisionContext",
     "PrecisionError",
     "EvalReport",
     "CoefficientEstimate",
@@ -47,21 +46,13 @@ __all__ = [
 
 
 class PrecisionError(ValueError):
-    """Raised when a context violates the s-dependent precision policy."""
+    """Raised when a digit count is below the s-dependent precision policy."""
 
 
-GUARD_DIGITS = 20  # added to PrecisionContext.digits: tail and rounding slack
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working decimal precision, at least 30 digits."""
-
-    digits: int = 50
-
-    def __post_init__(self):
-        if self.digits < 30:
-            raise ValueError("digits must be >= 30")
+# tail and rounding slack on top of f_direct's digit count, which is
+# required_digits(s, 10) in eval_report and extract_coefficient and 80 in
+# the scaling suite
+GUARD_DIGITS = 20
 
 
 def required_digits(s: Union[str, float], out_digits: int = 0) -> int:
@@ -74,11 +65,7 @@ def required_digits(s: Union[str, float], out_digits: int = 0) -> int:
     return base + 40 + out_digits
 
 
-def _context_for(s: Union[str, float], out_digits: int = 10) -> PrecisionContext:
-    return PrecisionContext(digits=max(30, required_digits(s, out_digits)))
-
-
-def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
+def f_direct(s, digits: int) -> Tuple[mp.mpf, int]:
     """Direct summation of F(exp(-s)) and the number of terms summed.
 
     Term m is T_m = q**(m(m+1)/2) / (q;q)_m**2 = 1 / prod_{k<=m} c_k,
@@ -114,20 +101,18 @@ def f_direct(s, ctx: PrecisionContext) -> Tuple[mp.mpf, int]:
     so the tail is below 0.11 term_M, and term_M is itself below
     10**-digits times the sum.
     """
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
+    with mp.workdps(digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         if smp <= 0:
             raise ValueError("s must be positive")
         need = required_digits(s)
-        if ctx.digits < need:
-            raise PrecisionError(
-                f"s={s} needs at least {need} digits, context has {ctx.digits}"
-            )
+        if digits < need:
+            raise PrecisionError(f"s={s} needs at least {need} digits, got {digits}")
         c1 = 4 * mp.sinh(smp / 2) ** 2
         c, d = mp.mpf(0), -c1  # c_m and d_m at m = 0
         P = mp.mpf(1)  # prod_{k<=m} c_k
         num = mp.mpf(1)  # the sum of terms 0..m times P
-        rel = mp.mpf(10) ** (-ctx.digits)
+        rel = mp.mpf(10) ** (-digits)
         rel_mag = mp.mag(rel)
         small_streak = 0
         m = 0
@@ -158,10 +143,10 @@ def _normalize(value: mp.mpf, smp: mp.mpf) -> mp.mpf:
     return value * mp.sqrt(2 * mp.pi * mp.sqrt(5) / smp) * mp.exp(-mp.pi ** 2 / (5 * smp))
 
 
-def normalized_remainder(s, ctx: PrecisionContext) -> mp.mpf:
+def normalized_remainder(s, digits: int) -> mp.mpf:
     """F(exp(-s)) * sqrt(2 pi sqrt5 / s) * exp(-pi**2/(5 s)); tends to 1 as s -> 0."""
-    value, _ = f_direct(s, ctx)
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
+    value, _ = f_direct(s, digits)
+    with mp.workdps(digits + GUARD_DIGITS):
         return _normalize(value, mp.mpf(s))
 
 
@@ -183,20 +168,20 @@ class EvalReport:
 def eval_report(s, order: int = 2) -> EvalReport:
     if order < 1:
         raise ValueError("order must be >= 1")
-    ctx = _context_for(s)
-    F, terms = f_direct(s, ctx)
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
+    digits = required_digits(s, 10)
+    F, terms = f_direct(s, digits)
+    with mp.workdps(digits + GUARD_DIGITS):
         smp = mp.mpf(s)
         remainder = _normalize(F, smp)
         result = compute_expansion(order)
         asym = mp.mpf(1)
         for j in range(1, order + 1):
-            asym += result.b[j].embed(ctx.digits) * smp ** j
+            asym += result.b[j].embed(digits) * smp ** j
         abs_err = abs(remainder - asym)
         rel_err = abs_err / abs(remainder)
     return EvalReport(
         s=str(s),
-        digits=ctx.digits,
+        digits=digits,
         truncation_order=order,
         terms_used=terms,
         F_value=F,
@@ -218,14 +203,13 @@ class CoefficientEstimate:
     consistent: bool
 
 
-def extract_coefficient(
-    j: int, s_grid: Sequence[Union[str, float]], ctx: Optional[PrecisionContext] = None
-) -> CoefficientEstimate:
+def extract_coefficient(j: int, s_grid: Sequence[Union[str, float]]) -> CoefficientEstimate:
     """Estimate the order-j coefficient from the remainder on a descending grid.
 
     Subtracts the exact lower-order coefficients, divides by s**j, and
-    linearly extrapolates the two smallest grid points to s = 0.  Warns when
-    raw per-point estimates disagree by more than 10%.
+    linearly extrapolates the two smallest grid points to s = 0.  Every
+    point is evaluated at the policy's digits for the smallest s, plus 10.
+    Warns when raw per-point estimates disagree by more than 10%.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -234,16 +218,15 @@ def extract_coefficient(
     svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     if any(a == b for a, b in zip(svals, svals[1:])):
         raise ValueError("grid points must be distinct")
-    if ctx is None:
-        ctx = _context_for(min(s_grid, key=lambda x: float(mp.mpf(x))), out_digits=10)
+    digits = required_digits(svals[-1], 10)
     lower: List[mp.mpf] = [mp.mpf(1)]
     if j >= 2:
         result = compute_expansion(j - 1)
-        lower += [x.embed(ctx.digits) for x in result.b[1:]]
+        lower += [x.embed(digits) for x in result.b[1:]]
     ests = []
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
+    with mp.workdps(digits + GUARD_DIGITS):
         for smp in svals:
-            R = normalized_remainder(smp, ctx)
+            R = normalized_remainder(smp, digits)
             resid = R
             for i, bi in enumerate(lower):
                 resid -= bi * smp ** i
@@ -268,7 +251,7 @@ def extract_coefficient(
     )
 
 
-def log_pochhammer_inf(prefactor, q, digits: int = 40) -> mp.mpc:
+def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
     """Sum of principal logs of (1 - prefactor * q**n), n >= 0.
 
     Factors with |prefactor * q**n| > 1/2 are logged one by one.  The rest,
@@ -321,18 +304,15 @@ class LogPochReport:
 
 
 def log_poch_check(
-    w: FieldElem,
-    v: float,
-    N: int,
-    s_grid: Sequence[Union[str, float]],
-    ctx: PrecisionContext = PrecisionContext(digits=50),
+    w: FieldElem, v: float, N: int, s_grid: Sequence[Union[str, float]]
 ) -> LogPochReport:
     """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation.
 
     The truncation keeps orders k = -1..N of
     sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!, with every
     polylog from mpmath: k = -1 gives -Li_2(w)/s and k = 0 gives
-    Li_1(w) * i*v.  Expected error decay is s**(N+1) at fixed v.
+    Li_1(w) * i*v.  Both sides are taken at 50 digits.  Expected error
+    decay is s**(N+1) at fixed v.
     """
     if w == PHI_INV:
         label = "1/phi"
@@ -344,7 +324,7 @@ def log_poch_check(
         raise ValueError("N must be >= 1")
     if any(not 0 < float(mp.mpf(s)) <= 0.2 for s in s_grid):
         raise ValueError("s grid must lie in (0, 0.2] for the truncation to be meaningful")
-    dps = ctx.digits
+    dps = 50
     with mp.workdps(dps + 10):
         wn = w.embed(dps)
         # B_{k+1}(1/2 + i*v) does not depend on s

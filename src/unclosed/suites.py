@@ -84,17 +84,17 @@ def suite_moments() -> SuiteResult:
 
 def suite_scaling() -> SuiteResult:
     grid = ("0.2", "0.1", "0.05")
-    ctx = qseries.PrecisionContext(digits=80)
+    digits = 80
     result = compute_expansion(2)
     rows = []
-    with mp.workdps(ctx.digits + qseries.GUARD_DIGITS):
+    with mp.workdps(digits + qseries.GUARD_DIGITS):
         b1 = result.b[1].embed(60)
         b2 = result.b[2].embed(60)
         r2 = []
         r3 = []
         for s in grid:
             smp = mp.mpf(s)
-            R = qseries.normalized_remainder(s, ctx)
+            R = qseries.normalized_remainder(s, digits)
             res2 = abs(R - 1 - b1 * smp) / smp ** 2
             res3 = abs(R - 1 - b1 * smp - b2 * smp ** 2) / smp ** 3
             r2.append(res2)
@@ -130,9 +130,7 @@ def suite_constant_term() -> SuiteResult:
 
 
 def suite_logpoch() -> SuiteResult:
-    report = qseries.log_poch_check(
-        PHI_INV, 0.0, 2, ("0.1", "0.05"), qseries.PrecisionContext(digits=50)
-    )
+    report = qseries.log_poch_check(PHI_INV, 0.0, 2, ("0.1", "0.05"))
     ratio = report.halving_ratios[0]
     ok = 4.0 <= ratio <= 16.0
     return SuiteResult(
@@ -151,11 +149,8 @@ def suite_logpoch() -> SuiteResult:
 
 
 def suite_ebar() -> SuiteResult:
-    digits = 60
-    err12 = abs(float(divergence.normalized_polylog_delta(12, digits) - 1))
-    errors = [
-        abs(float(divergence.normalized_polylog_delta(n, digits) - 1)) for n in range(5, 31)
-    ]
+    err12 = abs(float(divergence.normalized_polylog_delta(12) - 1))
+    errors = [abs(float(divergence.normalized_polylog_delta(n) - 1)) for n in range(5, 31)]
     rate, _ = divergence.fit_geometric_rate(range(5, 31), errors)
     ok = err12 < 1e-3 and rate < 1.0
     return SuiteResult(

@@ -238,6 +238,16 @@ def test_out_file(tmp_path, capsys):
     assert b"\r\n" not in raw  # LF endings
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "b1.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "b1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback, and the verify PASS/FAIL line is not reached
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_report_runs_all(capsys):
     code, out, err = run_cli(capsys, "report")
     assert code == 0

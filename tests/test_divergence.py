@@ -27,8 +27,7 @@ def test_scaled_delta_values():
 
 
 def test_scaled_delta_errors_decay_geometrically():
-    digits = 60
-    errors = [abs(float(normalized_polylog_delta(n, digits) - 1)) for n in range(5, 31)]
+    errors = [abs(float(normalized_polylog_delta(n) - 1)) for n in range(5, 31)]
     # the deviations oscillate in sign, so pointwise decay can dip; the
     # 4-step envelope is cleanly decreasing
     for i in range(len(errors) - 4):
@@ -45,7 +44,7 @@ def test_scaled_delta_errors_decay_geometrically():
 def test_fit_two_points_is_the_exact_log_ratio():
     # through two points the least-squares line is exact, so the rate is
     # exp of one correctly rounded float difference of the logs
-    e5, e6 = (float(abs(normalized_polylog_delta(n, 60) - 1)) for n in (5, 6))
+    e5, e6 = (float(abs(normalized_polylog_delta(n) - 1)) for n in (5, 6))
     rate, _ = fit_geometric_rate([5, 6], [e5, e6])
     assert rate == math.exp(math.log(e6) - math.log(e5))
 
@@ -105,24 +104,24 @@ def test_bernoulli_weight_normalization():
         for k in (2, 4, 6, 12):
             bh = bernoulli_half(k)
             lhs = mp.mpf(bh.numerator) / bh.denominator
-            rhs = 2 * (2 * mp.pi) ** (-k) * mp.factorial(k) * mp.cos(mp.pi * k / 2) * bernoulli_weight(k, 40)
+            rhs = 2 * (2 * mp.pi) ** (-k) * mp.factorial(k) * mp.cos(mp.pi * k / 2) * bernoulli_weight(k)
             assert abs(lhs - rhs) < mp.mpf("1e-35")
-        assert abs(bernoulli_weight(0, 40) - mp.mpf("0.5")) < mp.mpf("1e-30")
-        assert abs(bernoulli_weight(1, 40) - mp.log(2)) < mp.mpf("1e-30")
+        assert abs(bernoulli_weight(0) - mp.mpf("0.5")) < mp.mpf("1e-30")
+        assert abs(bernoulli_weight(1) - mp.log(2)) < mp.mpf("1e-30")
         for k in range(2, 30):
-            assert abs(bernoulli_weight(k, 40) - 1) <= mp.mpf(2) ** (1 - k)
+            assert abs(bernoulli_weight(k) - 1) <= mp.mpf(2) ** (1 - k)
 
 
 def test_partial_exp_at_zero_is_weight():
     with mp.workdps(40):
         for k in (3, 10, 25):
-            assert abs(partial_exp(k, 0, 30) - bernoulli_weight(k + 1, 30)) < mp.mpf("1e-25")
+            assert abs(partial_exp(k, 0) - bernoulli_weight(k + 1)) < mp.mpf("1e-25")
 
 
 def test_partial_exp_limit():
     with mp.workdps(40):
-        assert abs(partial_exp(40, 1, 30) - mp.e) < mp.mpf("1e-6")
-        assert abs(partial_exp(40, -2, 30) - mp.exp(-2)) < mp.mpf("1e-5")
+        assert abs(partial_exp(40, 1) - mp.e) < mp.mpf("1e-6")
+        assert abs(partial_exp(40, -2) - mp.exp(-2)) < mp.mpf("1e-5")
 
 
 def test_partial_exp_max_error_decreases():
@@ -137,7 +136,7 @@ def test_symmetrized_partial_exp_cosh_sinh():
     # (partial_exp(k, z) - (-1)**k partial_exp(k, -z)) / 2 at z = 2 pi v
     def symmetrized(k, v):
         z = 2 * mp.pi * v
-        return (partial_exp(k, z, 30) - (-1) ** k * partial_exp(k, -z, 30)) / 2
+        return (partial_exp(k, z) - (-1) ** k * partial_exp(k, -z)) / 2
 
     with mp.workdps(40):
         v = mp.mpf("0.25")
@@ -159,7 +158,7 @@ def test_exponent_sum_matches_series_assembly():
         s = mp.mpf("0.02")
         t = mp.sqrt(s)
         v = mp.mpf("0.4")
-        direct = exponent_sum(N, s, v, 45)
+        direct = exponent_sum(N, s, v)
         ser = exponent_series(2 * N)
         w = mp.mpc(0, 1) * t * v
         assembled = mp.fsum(
@@ -172,7 +171,7 @@ def test_exponent_sum_matches_series_assembly():
 
 
 def test_cosh_limit_trend():
-    rows = cosh_limit_check(l_values=(2, 3, 4, 5), v_samples=(0.0, 0.5, 1.0), alpha="0.25")
+    rows = cosh_limit_check(l_values=(2, 3, 4, 5), v_samples=(0.0, 0.5, 1.0))
     by_v = {}
     for r in rows:
         by_v.setdefault(r.v, []).append(r)
@@ -192,8 +191,6 @@ def test_cosh_limit_trend():
 def test_cosh_limit_validation():
     with pytest.raises(ValueError):
         cosh_limit_check(l_values=(0,))
-    with pytest.raises(ValueError):
-        cosh_limit_check(alpha="1.5")
     with pytest.raises(ValueError):
         exponent_sum(1, "0.1", 0.0)
 

@@ -7,7 +7,10 @@ through order 24 exactly, together with the delta, Bernoulli and Eulerian
 tables and the verdicts and details of every `report` suite.  The files
 under tests/reference pin `diverge` (normalized deltas, fitted rate, roots
 and cosh rows); they were written while polylog_delta still summed the two
-polylogs of its definition.  These tests only read the files.
+polylogs of its definition.  The `eval` files there pin the working digits,
+the term counts and the printed F, remainder and expansion values; they were
+written before f_direct took its working digits as a plain int.
+These tests only read the files.
 """
 
 from pathlib import Path
@@ -55,4 +58,15 @@ def test_coeffs_12_after_24_in_one_process(capsys, monkeypatch):
     ],
 )
 def test_diverge_output_matches_reference(capsys, argv, name):
+    _check(capsys, argv, TESTS_REFERENCE_DIR / name)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["eval", "--s", "0.01", "--s", "0.2", "--order", "6"], "eval-0.01-0.2-order6.json"),
+        (["eval", "--s", "0.001", "--format", "csv", "--precision", "12"], "eval-0.001.csv"),
+    ],
+)
+def test_eval_output_matches_reference(capsys, argv, name):
     _check(capsys, argv, TESTS_REFERENCE_DIR / name)

@@ -14,6 +14,14 @@ Names are otherwise matched without their owner, so a definition whose name
 is referenced anywhere counts as used: the guard can miss dead code but does
 not flag live code.  Dunder methods are out of scope, since the interpreter
 calls them by operator.
+
+The knob guard flags a defaulted parameter of a module-level function or a
+method defined in `src/unclosed/` that no call in `src/` or `demos/` passes,
+by position or by keyword: every caller takes the default, so the parameter
+is a constant dressed as an option.  Calls are matched by the called name
+alone (`f(...)` or `x.f(...)`), `__init__` is called by its class name, and a
+call that unpacks `*args` or `**kwargs` counts as passing everything.  Other
+dunder methods are out of scope.
 """
 
 import ast
@@ -100,6 +108,70 @@ def unreferenced(package, others):
     return dead
 
 
+def defaulted_parameters(tree):
+    """(qualified name, call name, parameter, position) of each defaulted parameter of a
+    module-level function or a method; position counts the arguments a call passes, so a
+    method's self or cls is not counted, and it is None for a keyword-only parameter."""
+    functions = []
+    for node in tree.body:
+        functions.append((node, "", False))
+        if isinstance(node, ast.ClassDef):
+            functions += [(item, f"{node.name}.", True) for item in node.body]
+    for node, owner, is_method in functions:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        qualname, call_name = owner + node.name, node.name
+        if node.name == "__init__":
+            call_name = qualname.partition(".")[0]
+        elif node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        bound = is_method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        first_defaulted = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first_defaulted:], start=first_defaulted):
+            yield qualname, call_name, arg.arg, i - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualname, call_name, arg.arg, None
+
+
+def passed_arguments(trees):
+    """{called name: (most positional arguments a call passes, keywords passed)}; a call
+    that unpacks *args or **kwargs passes every position or keyword."""
+    passed = {}
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            most, keywords = passed.get(name, (0, set()))
+            n = len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n = float("inf")
+            keywords = keywords | {k.arg for k in call.keywords}
+            passed[name] = (max(most, n), keywords)
+    return passed
+
+
+def unset_knobs(package, others):
+    """'module.name(parameter)' of each defaulted parameter in `package` ({module: tree})
+    that no call in `package` or `others` passes."""
+    passed = passed_arguments([*package.values(), *others])
+    knobs = []
+    for module, tree in package.items():
+        for qualname, call_name, param, position in defaulted_parameters(tree):
+            if f"{module}.{qualname}" in ENTRY_POINTS:
+                continue
+            most, keywords = passed.get(call_name, (0, set()))
+            by_position = position is not None and most > position
+            if not (by_position or param in keywords or None in keywords):
+                knobs.append(f"{module}.{qualname}({param})")
+    return knobs
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -153,3 +225,40 @@ def test_detects_an_unreferenced_method():
     assert unreferenced({"m": planted}, []) == [
         "m.C", "m.C.used", "m.C.size", "m.C.dead", "m.helper"
     ]
+
+
+def test_no_defaulted_parameter_that_no_caller_sets():
+    knobs = unset_knobs({p.stem: parse(p) for p in MODULES}, [parse(p) for p in DEMOS])
+    assert not knobs, f"defaulted parameters no call in src/ or demos/ passes: {', '.join(knobs)}"
+
+
+def test_detects_a_defaulted_parameter_no_caller_sets():
+    planted = ast.parse(
+        "class C:\n"
+        "    def __init__(self, size=1, fill=0):\n"
+        "        self.cells = [fill] * size\n"
+        "    def scale(self, factor=2, *, digits=30):\n"
+        "        return factor\n"
+        "    @staticmethod\n"
+        "    def unit(n=1):\n"
+        "        return n\n"
+        "def helper(x, digits=40, guard=5):\n"
+        "    return C(x).scale(3)\n"
+        "def forwarded(*args, **kwargs):\n"
+        "    return helper(*args, **kwargs)\n"
+        "def tune(level=0):\n"
+        "    return level\n"
+        "def main(argv=None):\n"
+        "    return argv\n"
+    )
+    demo = ast.parse("from m import C, tune\nC.unit(2)\ntune(level=1)\n")
+    # C(x) reaches __init__ and passes size; .scale(3) passes factor, not self;
+    # the forwarding call unpacks both kinds and so passes all of helper's
+    assert unset_knobs({"m": planted}, [demo]) == [
+        "m.C.__init__(fill)", "m.C.scale(digits)", "m.main(argv)"
+    ]
+    assert unset_knobs({"m": planted}, []) == [
+        "m.C.__init__(fill)", "m.C.scale(digits)", "m.C.unit(n)", "m.tune(level)", "m.main(argv)"
+    ]
+    # cli.main is exempt by name, as the console script calls it
+    assert unset_knobs({"cli": ast.parse("def main(argv=None):\n    return argv\n")}, []) == []

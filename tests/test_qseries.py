@@ -7,7 +7,6 @@ from unclosed.field import MINUS_PHI, PHI_INV, SQRT5
 from unclosed.qseries import (
     GUARD_DIGITS,
     ConstantTermReport,
-    PrecisionContext,
     PrecisionError,
     constant_term_check,
     eval_report,
@@ -39,9 +38,10 @@ def pentagonal_euler(q_str, dps=45):
         return total
 
 
-def test_precision_context_validation():
-    with pytest.raises(ValueError):
-        PrecisionContext(digits=29)
+def test_digits_below_the_old_floor_raise():
+    # 29 digits is below the policy at every s (required_digits >= 41)
+    with pytest.raises(PrecisionError):
+        f_direct("20", 29)
 
 
 def test_required_digits_policy():
@@ -69,30 +69,30 @@ def test_pochhammer_infinite_vs_frozen_and_oracle():
 
 
 def test_f_direct_large_s_near_one():
-    val, terms = f_direct("20", PrecisionContext(digits=50))
+    val, terms = f_direct("20", 50)
     with mp.workdps(60):
         assert abs(val - 1) < mp.mpf("1e-4")
     assert terms >= 6  # the m = 0 term plus the five-term stopping streak
 
 
 def test_f_direct_monotone():
-    ctx = PrecisionContext(digits=60)
-    assert f_direct("0.4", ctx)[0] > f_direct("0.5", ctx)[0]
+    digits = 60
+    assert f_direct("0.4", digits)[0] > f_direct("0.5", digits)[0]
     # a smaller s has a longer rise before the terms decay
-    assert f_direct("0.4", ctx)[1] > f_direct("0.5", ctx)[1]
+    assert f_direct("0.4", digits)[1] > f_direct("0.5", digits)[1]
 
 
 def test_f_direct_frozen_value():
-    val, _ = f_direct("0.5", PrecisionContext(digits=60))
+    val, _ = f_direct("0.5", 60)
     with mp.workdps(70):
         assert abs(val - mp.mpf(F_HALF)) < mp.mpf("1e-48")
 
 
 def test_f_direct_precision_policy_enforced():
     with pytest.raises(PrecisionError):
-        f_direct("0.02", PrecisionContext(digits=40))  # needs ~83 digits
+        f_direct("0.02", 40)  # needs ~83 digits
     with pytest.raises(ValueError):
-        f_direct("-0.1", PrecisionContext(digits=50))
+        f_direct("-0.1", 50)
 
 
 def f_direct_by_terms(s, digits):
@@ -122,21 +122,17 @@ def f_direct_by_terms(s, digits):
         return total, terms
 
 
-def policy_context(s):
-    return PrecisionContext(digits=max(30, required_digits(s, 10)))
-
-
 @pytest.mark.parametrize(
     "s", ["0.0005", "0.001", "0.0023", "0.01", "0.05", "0.3", "1", "5", "20"]
 )
 def test_f_direct_matches_the_per_term_loop(s):
     # 0.0005 is the eval floor, where the c_k recurrence rounds the most
-    ctx = policy_context(s)
-    value, terms = f_direct(s, ctx)
-    ref, ref_terms = f_direct_by_terms(s, ctx.digits)
+    digits = required_digits(s, 10)
+    value, terms = f_direct(s, digits)
+    ref, ref_terms = f_direct_by_terms(s, digits)
     assert terms == ref_terms
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
-        assert abs(value - ref) <= mp.mpf(10) ** (-ctx.digits) * ref
+    with mp.workdps(digits + GUARD_DIGITS):
+        assert abs(value - ref) <= mp.mpf(10) ** (-digits) * ref
 
 
 def test_f_direct_stops_where_the_per_term_loop_stops():
@@ -147,7 +143,7 @@ def test_f_direct_stops_where_the_per_term_loop_stops():
         s = mp.nstr(mp.mpf("0.02") * mp.mpf(1000) ** (mp.mpf(k) / 29), 12)
         low = max(30, required_digits(s))
         for digits in range(low, low + 40):
-            terms = f_direct(s, PrecisionContext(digits=digits))[1]
+            terms = f_direct(s, digits)[1]
             assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
 
 
@@ -159,7 +155,7 @@ def test_f_direct_stops_where_the_per_term_loop_stops_at_small_s():
         s = mp.nstr(mp.mpf("0.0012") * (mp.mpf(5) / 3) ** (mp.mpf(k) / 3), 12)
         low = required_digits(s)
         for digits in range(low, low + 5):
-            terms = f_direct(s, PrecisionContext(digits=digits))[1]
+            terms = f_direct(s, digits)[1]
             assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
 
 
@@ -167,15 +163,15 @@ def test_f_direct_stops_where_the_per_term_loop_stops_at_small_s():
 def test_f_direct_tail_after_the_stop_is_below_the_tolerance(s):
     # past the peak the term ratio r_m = q^m / (1 - q^m)^2 falls, so the sum
     # after the last term M is below term_M r / (1 - r) with r = r_(M+1)
-    ctx = policy_context(s)
-    value, terms = f_direct(s, ctx)
+    digits = required_digits(s, 10)
+    value, terms = f_direct(s, digits)
     M = terms - 1
-    with mp.workdps(ctx.digits + GUARD_DIGITS):
+    with mp.workdps(digits + GUARD_DIGITS):
         q = mp.exp(-mp.mpf(s))
         term_M = q ** (M * (M + 1) // 2) / mp.qp(q, q, M) ** 2
         r = q ** (M + 1) / (1 - q ** (M + 1)) ** 2
         assert r < 1
-        assert term_M * r / (1 - r) < mp.mpf(10) ** (-ctx.digits) * value
+        assert term_M * r / (1 - r) < mp.mpf(10) ** (-digits) * value
 
 
 def test_f_direct_agrees_with_a_run_at_more_digits():
@@ -183,7 +179,7 @@ def test_f_direct_agrees_with_a_run_at_more_digits():
     rep = eval_report("0.001")
     assert rep.digits == 908
     assert rep.terms_used == 2552
-    wide, _ = f_direct("0.001", PrecisionContext(digits=948))
+    wide, _ = f_direct("0.001", 948)
     with mp.workdps(960):
         assert abs(rep.F_value - wide) <= mp.mpf(10) ** -908 * wide
 
@@ -191,8 +187,7 @@ def test_f_direct_agrees_with_a_run_at_more_digits():
 def test_remainder_tends_to_one():
     vals = {}
     for s in ("0.2", "0.1", "0.05"):
-        ctx = PrecisionContext(digits=max(60, required_digits(s, 10)))
-        vals[s] = normalized_remainder(s, ctx)
+        vals[s] = normalized_remainder(s, max(60, required_digits(s, 10)))
     with mp.workdps(60):
         assert abs(vals["0.05"] - 1) < mp.mpf("0.01")
         errs = [abs(vals[s] - 1) for s in ("0.2", "0.1", "0.05")]
@@ -203,8 +198,8 @@ def test_remainder_tends_to_one():
 
 
 def test_remainder_precision_invariance():
-    a = normalized_remainder("0.1", PrecisionContext(digits=100))
-    b = normalized_remainder("0.1", PrecisionContext(digits=140))
+    a = normalized_remainder("0.1", 100)
+    b = normalized_remainder("0.1", 140)
     with mp.workdps(150):
         assert abs(a - b) < mp.mpf("1e-60")
 
@@ -227,8 +222,7 @@ def test_extract_coefficient_residual_scaling():
     assert 0.5 < ratio < 2.0  # both approximate the same finite b2
     r2 = []
     for s in ("0.1", "0.05"):
-        ctx = PrecisionContext(digits=80)
-        R = normalized_remainder(s, ctx)
+        R = normalized_remainder(s, 80)
         with mp.workdps(90):
             smp = mp.mpf(s)
             b1 = SQRT5.embed(60) / 40
@@ -243,14 +237,13 @@ def test_residual_order_property_through_j3():
     from unclosed.expansion import compute_expansion
 
     exact = compute_expansion(3)
-    ctx = PrecisionContext(digits=100)
     with mp.workdps(110):
         bnum = [x.embed(80) for x in exact.b]
         for J in (1, 2, 3):
             ratios = []
             for s in ("0.2", "0.1", "0.05"):
                 smp = mp.mpf(s)
-                R = normalized_remainder(s, ctx)
+                R = normalized_remainder(s, 100)
                 resid = R - sum(bnum[i] * smp ** i for i in range(J + 1))
                 ratios.append(abs(resid) / smp ** (J + 1))
             for a, b in zip(ratios, ratios[1:]):
@@ -267,7 +260,7 @@ def test_extract_coefficient_validation_and_warning():
         extract_coefficient(2, ["0.1", "0.10"])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = extract_coefficient(1, ["4.0", "2.0"], PrecisionContext(digits=60))
+        est = extract_coefficient(1, ["4.0", "2.0"])
     assert not est.consistent
     assert est.disagreement > 0.10
     assert any("disagree" in str(w.message) for w in caught)
@@ -370,7 +363,7 @@ def test_log_pochhammer_real_part_matches_qp_modulus():
 
 
 def test_log_poch_check_error_scaling():
-    rep = log_poch_check(PHI_INV, 0.0, 2, ["0.1", "0.05"], PrecisionContext(digits=50))
+    rep = log_poch_check(PHI_INV, 0.0, 2, ["0.1", "0.05"])
     assert rep.w_label == "1/phi"
     ratio = rep.halving_ratios[0]
     assert 4.0 <= ratio <= 16.0
@@ -382,14 +375,13 @@ def test_log_poch_check_error_scaling():
 
 
 def test_log_poch_check_improves_with_order():
-    ctx = PrecisionContext(digits=50)
-    e2 = log_poch_check(PHI_INV, 0.0, 2, ["0.1"], ctx).rows[0].abs_err
-    e4 = log_poch_check(PHI_INV, 0.0, 4, ["0.1"], ctx).rows[0].abs_err
+    e2 = log_poch_check(PHI_INV, 0.0, 2, ["0.1"]).rows[0].abs_err
+    e4 = log_poch_check(PHI_INV, 0.0, 4, ["0.1"]).rows[0].abs_err
     assert e4 < e2
 
 
 def test_log_poch_check_other_argument_and_nonzero_v():
-    rep = log_poch_check(MINUS_PHI, 0.25, 2, ["0.1", "0.05"], PrecisionContext(digits=50))
+    rep = log_poch_check(MINUS_PHI, 0.25, 2, ["0.1", "0.05"])
     assert rep.w_label == "-phi"
     assert 3.0 <= rep.halving_ratios[0] <= 20.0
     with pytest.raises(ValueError):
@@ -447,7 +439,7 @@ def test_constant_term_series_matches_numeric_f():
     coeffs = constant_term_check(20).direct
     with mp.workdps(60):
         s = -mp.log(mp.mpf("0.1"))
-        val, _ = f_direct(s, PrecisionContext(digits=50))
+        val, _ = f_direct(s, 50)
         q = mp.mpf("0.1")
         partial = sum(c * q ** t for t, c in enumerate(coeffs))
         assert abs(val - partial) < mp.mpf("1e-15")
@@ -471,7 +463,7 @@ def test_log_quotient_decomposition():
                 num = log_pochhammer_inf(-phi * mp.exp(-s * (mp.mpf(1) / 2 + 1j * v)), q, dps)
                 den = log_pochhammer_inf((1 / phi) * mp.exp(-s * (mp.mpf(1) / 2 - 1j * v)), q, dps)
                 main = mp.pi ** 2 / (5 * s) + mp.sqrt(5) * s * (-v * v - mp.mpf(1) / 12) / 2
-                errs.append(abs((num - den) - main - exponent_sum(N, s, v, dps)))
+                errs.append(abs((num - den) - main - exponent_sum(N, s, v)))
             for a, b in zip(errs, errs[1:]):
                 assert target / 2 < float(a / b) < target * 2
 

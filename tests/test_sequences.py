@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, ZERO
-from unclosed.qseries import PrecisionContext, log_poch_check
+from unclosed.qseries import log_poch_check
 from unclosed.sequences import (
     bernoulli_half,
     bernoulli_number,
@@ -242,7 +242,7 @@ def test_log_poch_truncation_matches_exact_polylog_oracle(w, v, N):
     # log_poch_check takes every polylog from mpmath; here k >= 1 uses the
     # exact rational values and k <= 0 Li_2 and Li_1 = -log1p(-w)
     s_grid = ("0.2", "0.1", "0.05")
-    rep = log_poch_check(w, v, N, s_grid, PrecisionContext(digits=50))
+    rep = log_poch_check(w, v, N, s_grid)
     with mp.workdps(60):
         wn = w.embed(60)
         x = mp.mpc(mp.mpf(1) / 2, v)
