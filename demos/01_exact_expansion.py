@@ -8,7 +8,7 @@ s -> 0 with q = exp(-s),
 
 and this demo computes the series R(s) ~ 1 + sum_j b_j s^j exactly: every
 b_j is an element of Q(sqrt5), produced by Gaussian-moment integration of
-an exact series in t = sqrt(s).
+an exact rational series in t' = 5^(1/4) sqrt(s) and w' = i v.
 """
 
 import mpmath as mp
@@ -19,10 +19,10 @@ from unclosed.series import exponent_series
 J = 8
 
 print("=== the exponent series, leading terms ===")
-# the damping -sqrt5/24 sits in the t^2 line, as its w^0 term
+# the damping -sqrt5/24 * s = -t'^2/24 sits in the t'^2 line, as its w'^0 term
 ser = exponent_series(4)
 for m in ser.powers():
-    print(f"  t^{m}: {ser.coeff(m)!r}")
+    print(f"  t'^{m}: {ser.coeff(m)!r}")
 print()
 
 print(f"=== exact coefficients through order {J} ===")

@@ -3,8 +3,8 @@
 Modules:
   field       exact arithmetic in Q(sqrt5)
   sequences   Fibonacci, Eulerian and Bernoulli numbers, delta values
-  series      truncated formal series in t = sqrt(s) with coefficients polynomial
-              in the graded Gaussian variable w = i*v/5**(1/4)
+  series      truncated formal series in t' = 5**(1/4)*sqrt(s) with rational
+              coefficients polynomial in the Gaussian variable w' = i*v
   expansion   exact expansion coefficients b_j / c_j of the normalized remainder
   qseries     arbitrary-precision evaluation and numeric verification
   divergence  growth diagnostics quantifying why the expansion diverges

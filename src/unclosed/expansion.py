@@ -7,11 +7,13 @@ growth roots |b_j|**(1/j).  An exact result depends only on the order asked
 for; `render_expansion` alone turns it into decimal strings, at the
 precision it is given.  b_1..b_J are the Gaussian means of the even powers
 of exp(exponent series), the exponent, damping included, truncated at
-t**(2J); c_1..c_J are the formal log of the scalar series they form.
+t'**(2J); c_1..c_J are the formal log of the scalar series they form.  Both
+are computed over Q in the rescaled variables of `unclosed.series` and
+mapped to Q(sqrt5) by `series.to_field`.
 
 Only the largest order built so far is cached, and a smaller order is its
-prefix: summand k of the exponent first enters at t**(k-1), so truncation
-touches only powers above t**(2J), c_j reads only b_0..b_j, and the root
+prefix: summand k of the exponent first enters at t'**(k-1), so truncation
+touches only powers above t'**(2J), c_j reads only b_0..b_j, and the root
 of index j reads only b_j.  Repeated runs are bit-identical.
 """
 
@@ -24,7 +26,7 @@ from typing import Optional, Tuple
 import mpmath as mp
 
 from .field import FieldElem
-from .series import PuiseuxSeries, exponent_series, gaussian_integrate, log_coefficients
+from .series import PuiseuxSeries, exponent_series, gaussian_integrate, log_coefficients, to_field
 
 __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assembled_series"]
 
@@ -53,16 +55,17 @@ def _build(max_order: int):
     if _prefix is None or _prefix[1].max_order < max_order:
         trunc = 2 * max_order
         total = exponent_series(trunc).exp()
+        # means of t'**(2j) and their formal log, both over Q, then back to s**j
         b = []
         for m in range(trunc + 1):
             val = gaussian_integrate(total.coeff(m))
             if m % 2:
-                if not val.is_zero():
+                if val:
                     raise ArithmeticError(f"odd power t^{m} integrated to a nonzero value")
                 continue
             b.append(val)
-        # exponential form: formal log of 1 + sum_j b_j s^j, which needs b_0 = 1
-        c = log_coefficients(b)
+        c = [to_field(x, j) for j, x in enumerate(log_coefficients(b), 1)]
+        b = [to_field(x, j) for j, x in enumerate(b)]
         # fixed working digits: the roots never depend on an output setting
         with mp.workdps(40):
             growth = tuple(
@@ -73,7 +76,11 @@ def _build(max_order: int):
 
 
 def assembled_series(max_order: int) -> PuiseuxSeries:
-    """exp(exponent series), damping included, truncated at t**(2*max_order)."""
+    """exp(exponent series), damping included, truncated at t'**(2*max_order).
+
+    A series in the rescaled t' = 5**(1/4) * sqrt(s) with rational
+    coefficients polynomial in w' = i*v, as `unclosed.series` defines them.
+    """
     total = _build(max_order)[0]
     trunc = 2 * max_order
     return PuiseuxSeries(trunc, {m: p for m, p in total.terms.items() if m <= trunc})

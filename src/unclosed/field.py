@@ -1,15 +1,13 @@
 """Exact arithmetic in the real quadratic field Q(sqrt5).
 
 An element p + q*sqrt5 is stored as its two reduced rational coordinates.
-The field hosts every exact value of the package: the golden ratio
-phi = (1 + sqrt5)/2 (phi**2 = phi + 1), the polylog delta values, the
-series coefficients in the graded variable w of `unclosed.series`, and the
-expansion coefficients b_j and c_j.
+The field hosts the exact values of the package that are not rational:
+the golden ratio phi = (1 + sqrt5)/2 (phi**2 = phi + 1), the polylog delta
+values, and the expansion coefficients b_j and c_j.
 
-FieldElem is the public exact type, not the workhorse of the series
-arithmetic: `unclosed.series` keeps each polynomial in w as integer
-numerators over one shared denominator and builds FieldElem values only
-where a coefficient or a Gaussian mean leaves the kernel.
+FieldElem is not used by the series arithmetic: `unclosed.series` works
+over Q in rescaled variables, reads the two coordinates of each delta
+value once, and builds a FieldElem only for each final b_j and c_j.
 
 Elements are immutable and all operations are pure, so values can be
 shared freely across threads.

@@ -1,31 +1,38 @@
-"""Truncated formal series in t = sqrt(s) with polynomial-in-w coefficients.
+"""Truncated formal series in t' with rational polynomial-in-w' coefficients.
 
-The saddle-point exponent of the normalized remainder is a series in t and
-the standard Gaussian variable v, whose t**m v**j coefficient is an element
-of Q(sqrt5) times (i * 5**(-1/4))**j.  The graded variable
+The saddle-point exponent of the normalized remainder is a series in
+t = sqrt(s) and w = i*v / 5**(1/4), v the standard Gaussian variable, with
+coefficients in Q(sqrt5).  Its t**m w**j monomial comes from summand
+k = (m + j)/2 of the exponent, which carries polylog_delta(k-1), and in the
+rescaled variables
 
-    w = i * v / 5**(1/4)
+    t' = 5**(1/4) * t,    w' = 5**(1/4) * w = i * v
 
-absorbs that factor, so every coefficient in w lies in Q(sqrt5).  exp keeps
-the grading, and Gaussian integration becomes
-E[w**(2m)] = (-1/sqrt5)**m * (2m-1)!! with odd powers giving 0.
+it reads 5**(-k/2) * t'**m * w'**j.  Every polylog_delta(k-1) is sqrt5**k
+times a rational, so every coefficient in t', w' is rational.  exp keeps
+that, and Gaussian integration becomes the integer moments
+E[w'**(2m)] = (-1)**m * (2m-1)!! with odd powers giving 0.
 
-`VPoly` is a dense polynomial in w over Q(sqrt5), stored as two lists of
-integer numerators P, Q and one shared positive denominator d: the w**j
-coefficient is (P[j] + Q[j]*sqrt5) / d.  The denominator is reduced by one
-gcd pass per polynomial, never per coefficient operation, so products are
-plain int multiply-adds.  `PuiseuxSeries` maps integer powers of t to VPoly
-values up to a fixed truncation order; its exp never reads past the
-truncation.  `exponent_series` assembles the exponent, damping included:
-each degree-(k+1) shifted Bernoulli polynomial enters at base power
-t**(2k), and its w**j monomial is pushed down to t**(2k-j).
-`log_coefficients` is the formal log of a scalar series in s = t**2.  exp
-and log put each step of their coefficient recurrence over one common
-denominator and reduce once per step.
+Only this module knows the two rescalings.  `exponent_series` is the entry:
+it divides each delta value by sqrt5**k and raises ArithmeticError if the
+part that should vanish does not.  `to_field` is the exit: the mean b'_j of
+t'**(2j) and the log coefficient c'_j of s'**j = t'**(2j) become the field
+values b_j = b'_j * sqrt5**j and c_j = c'_j * sqrt5**j of s**j.
+
+`VPoly` is a dense polynomial in w' over Q, stored as integer numerators P
+over one positive denominator d: the w'**j coefficient is P[j] / d.  The
+denominator is reduced by one gcd pass per polynomial, never per
+coefficient operation, so products are plain int multiply-adds.
+`PuiseuxSeries` maps integer powers of t' to VPoly values up to a fixed
+truncation order; its exp never reads past the truncation.
+`exponent_series` assembles the exponent, damping included: each
+degree-(k+1) shifted Bernoulli polynomial enters at base power t'**(2k),
+and its w'**j monomial is pushed down to t'**(2k-j).  `log_coefficients` is
+the formal log of a scalar series in s' = t'**2.  exp and log put each step
+of their coefficient recurrence over one common denominator and reduce once
+per step.
 
 Everything here is exact; zero coefficients are detected by exact equality.
-`FieldElem` stays the exchange type: `VPoly.coeff`, `VPoly.coeffs` and
-`gaussian_integrate` return field elements.
 """
 
 from __future__ import annotations
@@ -34,88 +41,66 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .field import FieldElem, ONE, SQRT5, ZERO
+from .field import FieldElem
 from .sequences import bernoulli_half, polylog_delta
 
-__all__ = ["VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series", "log_coefficients"]
+__all__ = [
+    "VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series", "log_coefficients",
+    "to_field",
+]
 
-ScalarLike = Union[int, Fraction, FieldElem]
-
-
-def _as_field(value: ScalarLike) -> FieldElem:
-    if isinstance(value, FieldElem):
-        return value
-    return FieldElem(value)
+Scalar = Union[int, Fraction]
 
 
-def _scalar_ints(value: ScalarLike) -> Tuple[int, int, int]:
-    """(a, b, e) with integers a, b and e > 0 such that value = (a + b*sqrt5) / e."""
-    value = _as_field(value)
-    p, q = value.p, value.q
-    e = lcm(p.denominator, q.denominator)
-    return p.numerator * (e // p.denominator), q.numerator * (e // q.denominator), e
-
-
-def _canonical(poly: "VPoly", P: List[int], Q: List[int], d: int) -> None:
-    # trim trailing zero coefficients and divide out gcd(d, P, Q) in one pass
+def _canonical(poly: "VPoly", P: List[int], d: int) -> None:
+    # trim trailing zero coefficients and divide out gcd(d, P) in one pass
     n = len(P)
-    while n and not (P[n - 1] or Q[n - 1]):
+    while n and not P[n - 1]:
         n -= 1
-    if not n:
-        P, Q, d = (), (), 1
-    else:
-        P, Q = P[:n], Q[:n]
-        g = gcd(d, *P, *Q)
-        if g > 1:
-            P = [x // g for x in P]
-            Q = [x // g for x in Q]
-            d //= g
+    P = P[:n]
+    g = gcd(d, *P) if n else d  # the zero polynomial gets d = 1
+    if g > 1:
+        P = [x // g for x in P]
+        d //= g
     object.__setattr__(poly, "P", tuple(P))
-    object.__setattr__(poly, "Q", tuple(Q))
     object.__setattr__(poly, "d", d)
 
 
-def _weighted_sum(terms) -> Tuple[List[int], List[int], int]:
-    """Numerators P, Q and denominator D of sum(k * x * y for k, x, y in terms)."""
+def _weighted_sum(terms) -> Tuple[List[int], int]:
+    """Numerators P and denominator D of sum(k * x * y for k, x, y in terms)."""
     D = lcm(*(x.d * y.d for _, x, y in terms))
-    size = max(len(x.P) + len(y.P) for _, x, y in terms) - 1
-    P, Q = [0] * size, [0] * size
+    P = [0] * (max(len(x.P) + len(y.P) for _, x, y in terms) - 1)
     for k, x, y in terms:
         if len(x.P) > len(y.P):
             x, y = y, x
         f = k * (D // (x.d * y.d))
-        ys = [(j, p, q) for j, (p, q) in enumerate(zip(y.P, y.Q)) if p or q]
-        for i, (a, b) in enumerate(zip(x.P, x.Q)):
-            if not (a or b):
-                continue
-            a, b = f * a, f * b
-            b5 = 5 * b
-            for j, p, q in ys:
-                P[i + j] += a * p + b5 * q
-                Q[i + j] += a * q + b * p
-    return P, Q, D
+        ys = [(j, b) for j, b in enumerate(y.P) if b]
+        for i, a in enumerate(x.P):
+            if a:
+                a *= f
+                for j, b in ys:
+                    P[i + j] += a * b
+    return P, D
 
 
 class VPoly:
-    """Polynomial in w over Q(sqrt5): the w**j coefficient is (P[j] + Q[j]*sqrt5) / d.
+    """Polynomial in w' over Q: the w'**j coefficient is P[j] / d.
 
-    Canonical form: no trailing zero coefficient, d > 0 and gcd(d, P, Q) = 1
+    Canonical form: no trailing zero coefficient, d > 0 and gcd(d, P) = 1
     (d = 1 for the zero polynomial), so equal polynomials store equal data.
     """
 
-    __slots__ = ("P", "Q", "d")
+    __slots__ = ("P", "d")
 
-    def __init__(self, coeffs: Sequence[FieldElem]):
-        parts = [_scalar_ints(c) for c in coeffs]
-        d = lcm(*(e for _, _, e in parts))
-        P = [a * (d // e) for a, _, e in parts]
-        Q = [b * (d // e) for _, b, e in parts]
-        _canonical(self, P, Q, d)
+    def __init__(self, coeffs: Sequence[Scalar]):
+        coeffs = [Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in coeffs))
+        _canonical(self, [c.numerator * (d // c.denominator) for c in coeffs], d)
 
     @classmethod
-    def _from_ints(cls, P: List[int], Q: List[int], d: int) -> "VPoly":
+    def _from_ints(cls, P: List[int], d: int) -> "VPoly":
         poly = object.__new__(cls)
-        _canonical(poly, P, Q, d)
+        _canonical(poly, P, d)
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -127,38 +112,38 @@ class VPoly:
 
     @classmethod
     def one(cls) -> "VPoly":
-        return cls((ONE,))
+        return cls((1,))
 
     @classmethod
-    def monomial(cls, degree: int, coeff: ScalarLike = 1) -> "VPoly":
-        return cls([ZERO] * degree + [_as_field(coeff)])
+    def monomial(cls, degree: int, coeff: Scalar = 1) -> "VPoly":
+        return cls([0] * degree + [coeff])
 
     @property
-    def coeffs(self) -> Tuple[FieldElem, ...]:
+    def coeffs(self) -> Tuple[Fraction, ...]:
         return tuple(self.coeff(j) for j in range(len(self.P)))
 
     def is_zero(self) -> bool:
         return not self.P
 
-    def coeff(self, j: int) -> FieldElem:
+    def coeff(self, j: int) -> Fraction:
         if not 0 <= j < len(self.P):
-            return ZERO
-        return FieldElem(Fraction(self.P[j], self.d), Fraction(self.Q[j], self.d))
+            return Fraction(0)
+        return Fraction(self.P[j], self.d)
 
     def __eq__(self, other):
         if not isinstance(other, VPoly):
             return NotImplemented
-        return self.d == other.d and self.P == other.P and self.Q == other.Q
+        return self.d == other.d and self.P == other.P
 
     def __repr__(self):
         if self.is_zero():
             return "VPoly(0)"
-        parts = [f"({c.render()})*w^{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()]
+        parts = [f"({c})*w'^{j}" for j, c in enumerate(self.coeffs) if c]
         return "VPoly(" + " + ".join(parts) + ")"
 
 
 class PuiseuxSeries:
-    """Map from powers of t = sqrt(s) to VPoly coefficients, truncated."""
+    """Map from powers of t' = 5**(1/4) * sqrt(s) to VPoly coefficients, truncated."""
 
     __slots__ = ("trunc_order", "terms")
 
@@ -203,8 +188,8 @@ class PuiseuxSeries:
         for m in range(1, self.trunc_order + 1):
             terms = [(r, a, out[m - r]) for r, a in self.terms.items() if m - r in out]
             if terms:
-                P, Q, D = _weighted_sum(terms)
-                em = VPoly._from_ints(P, Q, m * D)
+                P, D = _weighted_sum(terms)
+                em = VPoly._from_ints(P, m * D)
                 if not em.is_zero():
                     out[m] = em
         return PuiseuxSeries(self.trunc_order, out)
@@ -215,73 +200,65 @@ class PuiseuxSeries:
 # ----------------------------------------------------------------------
 
 
-_moment_cache: list = [ONE]
-_W2 = FieldElem(0, Fraction(-1, 5))  # w**2 = -v**2/sqrt5
+_moments: List[int] = [1]  # _moments[m] = E[w'**(2m)] = (-1)**m (2m-1)!!
 
 
-def _even_moment(j: int) -> FieldElem:
-    # E[w**j] = (-1/sqrt5)**(j/2) * (j-1)!! for even j, via the cached recurrence
-    m = j // 2
-    while len(_moment_cache) <= m:
-        k = len(_moment_cache)
-        _moment_cache.append(_moment_cache[-1] * _W2 * (2 * k - 1))
-    return _moment_cache[m]
-
-
-def gaussian_integrate(p: VPoly) -> FieldElem:
-    """Mean of p(w) over standard Gaussian v: w**(2m) -> (-1/sqrt5)**m (2m-1)!!, odd -> 0.
-
-    The even numerators are weighted by the moment table over one common
-    denominator, so only the final value is a field element.
-    """
-    even = [j for j in range(0, len(p.P), 2) if p.P[j] or p.Q[j]]
-    moments = [(j, _scalar_ints(_even_moment(j))) for j in even]
-    E = lcm(*(e for _, (_, _, e) in moments))
-    x = y = 0
-    for j, (a, b, e) in moments:
-        f = E // e
-        a, b = a * f, b * f
-        x += p.P[j] * a + 5 * p.Q[j] * b
-        y += p.P[j] * b + p.Q[j] * a
-    den = p.d * E
-    return FieldElem(Fraction(x, den), Fraction(y, den))
+def gaussian_integrate(p: VPoly) -> Fraction:
+    """Mean of p(w') over standard Gaussian v: w'**(2m) -> (-1)**m (2m-1)!!, odd -> 0."""
+    while 2 * len(_moments) < len(p.P):
+        _moments.append(_moments[-1] * (1 - 2 * len(_moments)))
+    return Fraction(sum(a * e for a, e in zip(p.P[::2], _moments)), p.d)
 
 
 # ----------------------------------------------------------------------
-# the saddle-point exponent series
+# the saddle-point exponent series, and the way back to Q(sqrt5)
 # ----------------------------------------------------------------------
+
+
+def _rescaled_delta(k: int) -> Fraction:
+    """polylog_delta(k-1) / sqrt5**k, which must be rational."""
+    delta = polylog_delta(k - 1)
+    keep, off = (delta.p, delta.q) if k % 2 == 0 else (delta.q, delta.p)
+    if off:
+        raise ArithmeticError(f"polylog_delta({k - 1}) is not a rational multiple of sqrt5**{k}")
+    return keep / 5 ** (k // 2)
 
 
 def exponent_series(trunc_order: int) -> PuiseuxSeries:
-    """Exponent series in t = sqrt(s) after the Gaussian substitution, truncated at t**trunc_order.
+    """Exponent series in t' after the Gaussian substitution, truncated at t'**trunc_order.
 
-    Summand k contributes, for each monomial w**j of the degree-(k+1)
+    Summand k contributes, for each monomial w'**j of the degree-(k+1)
     Bernoulli polynomial shifted to 1/2,
 
-        polylog_delta(k-1)/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2) * w**j * t**(2k-j),
+        polylog_delta(k-1)/sqrt5**k/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2) * w'**j * t'**(2k-j),
 
-    which lies in Q(sqrt5) because w = i * v / 5**(1/4) carries the scale.
-    Its lowest power is t**(k-1), so summands 2..trunc_order+1 give every
-    power through the truncation.  The damping -sqrt(5)/24 * t**2, carried
-    inside the same exponential, fills the t**2, w**0 slot.  The result has
-    strictly positive valuation and can be fed to `PuiseuxSeries.exp`.
+    a rational coefficient.  Its lowest power is t'**(k-1), so summands
+    2..trunc_order+1 give every power through the truncation.  The damping
+    -sqrt(5)/24 * s = -1/24 * t'**2, carried inside the same exponential,
+    fills the t'**2, w'**0 slot.  The result has strictly positive valuation
+    and can be fed to `PuiseuxSeries.exp`.
     """
-    rows: Dict[int, Dict[int, FieldElem]] = {}
+    rows: Dict[int, Dict[int, Fraction]] = {}
     if trunc_order >= 2:
-        rows[2] = {0: SQRT5 * Fraction(-1, 24)}
+        rows[2] = {0: Fraction(-1, 24)}
     for k in range(2, trunc_order + 2):
-        ck = polylog_delta(k - 1) * Fraction(1, factorial(k + 1))
+        ck = _rescaled_delta(k) / factorial(k + 1)
         for j in range(k + 2):
             m = 2 * k - j
             if m > trunc_order:
                 continue
             bh = comb(k + 1, j) * bernoulli_half(k + 1 - j)
-            if not bh:
-                continue
-            row = rows.setdefault(m, {})
-            row[j] = row.get(j, ZERO) + ck * bh
-    terms = {m: VPoly([row.get(j, ZERO) for j in range(max(row) + 1)]) for m, row in rows.items()}
+            if bh:
+                row = rows.setdefault(m, {})
+                row[j] = row.get(j, 0) + ck * bh
+    terms = {m: VPoly([row.get(j, 0) for j in range(max(row) + 1)]) for m, row in rows.items()}
     return PuiseuxSeries(trunc_order, terms)
+
+
+def to_field(x: Fraction, j: int) -> FieldElem:
+    """x * sqrt5**j: the coefficient of s**j that x is of s'**j = (sqrt5 * s)**j."""
+    scaled = x * 5 ** (j // 2)
+    return FieldElem(0, scaled) if j % 2 else FieldElem(scaled)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +266,7 @@ def exponent_series(trunc_order: int) -> PuiseuxSeries:
 # ----------------------------------------------------------------------
 
 
-def log_coefficients(b: Sequence[FieldElem]) -> List[FieldElem]:
+def log_coefficients(b: Sequence[Scalar]) -> List[Fraction]:
     """c_1..c_J with sum_j c_j s**j = log(sum_j b_j s**j), for b = [1, b_1, .., b_J].
 
     j*c_j = j*b_j - sum_{r<j} r*c_r*b_{j-r}, one common denominator per step.
@@ -300,6 +277,6 @@ def log_coefficients(b: Sequence[FieldElem]) -> List[FieldElem]:
     C: List[VPoly] = []  # C[r - 1] is c_r
     for j in range(1, len(B)):
         terms = [(j, B[j], B[0])] + [(-r, C[r - 1], B[j - r]) for r in range(1, j)]
-        P, Q, D = _weighted_sum(terms)
-        C.append(VPoly._from_ints(P, Q, j * D))
+        P, D = _weighted_sum(terms)
+        C.append(VPoly._from_ints(P, j * D))
     return [p.coeff(0) for p in C]

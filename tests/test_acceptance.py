@@ -11,7 +11,6 @@ import time
 import pytest
 
 from unclosed import expansion, series, suites
-from unclosed.field import ONE
 from unclosed.series import PuiseuxSeries, VPoly
 from unclosed.suites import run_suite
 
@@ -69,10 +68,24 @@ def test_ac10_parity_reality():
 
 
 def test_ac10_fails_on_wrong_moment_sign(monkeypatch):
-    # E[w**2] = +1/sqrt5 instead of -1/sqrt5 changes the exact b_j but not
-    # the ungraded numeric route, so AC-10 must fail
-    monkeypatch.setattr(series, "_W2", -series._W2)
-    monkeypatch.setattr(series, "_moment_cache", [ONE])
+    # E[w'**(2m)] = (2m-1)!! instead of (-1)**m (2m-1)!!, as if w' = v rather
+    # than i*v, changes the exact b_j but not the ungraded numeric route, so
+    # AC-10 must fail; the table is first grown past every w'-degree used
+    series.gaussian_integrate(VPoly.monomial(6 * suites.DIVERGENCE_ORDER))
+    flipped = [(-1) ** m * e for m, e in enumerate(series._moments)]
+    monkeypatch.setattr(series, "_moments", flipped)
+    monkeypatch.setattr(expansion, "_prefix", None)
+    result = run_suite("parity")
+    assert not result.ok
+    assert result.details == [
+        {"odd_vanish": True, "all_real": True, "all_in_sqrt5_field": False}
+    ]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_ac10_fails_on_wrong_rescale(monkeypatch, shift):
+    # one power of sqrt5 too many (or too few) on the way back to Q(sqrt5)
+    monkeypatch.setattr(expansion, "to_field", lambda x, j: series.to_field(x, j + shift))
     monkeypatch.setattr(expansion, "_prefix", None)
     result = run_suite("parity")
     assert not result.ok
@@ -83,11 +96,11 @@ def test_ac10_fails_on_wrong_moment_sign(monkeypatch):
 
 @pytest.mark.parametrize("power, degree, key", [(1, 0, "odd_vanish"), (2, 1, "all_real")])
 def test_ac10_fails_on_broken_grading(monkeypatch, power, degree, key):
-    # a w**degree term on t**power breaks "w-degree = t-power mod 2"
+    # a w'**degree term on t'**power breaks "w'-degree = t'-power mod 2"
     good = suites.assembled_series(suites.DIVERGENCE_ORDER)
     p = good.coeff(power)
     coeffs = [p.coeff(j) for j in range(max(len(p.P), degree + 1))]
-    coeffs[degree] = coeffs[degree] + ONE
+    coeffs[degree] += 1
     bad = PuiseuxSeries(good.trunc_order, {**good.terms, power: VPoly(coeffs)})
     monkeypatch.setattr(suites, "assembled_series", lambda order: bad)
     result = run_suite("parity")

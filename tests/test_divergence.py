@@ -148,21 +148,21 @@ def test_symmetrized_partial_exp_cosh_sinh():
 
 def test_exponent_sum_matches_series_assembly():
     # same object two ways: direct numeric summation at 1/2 + i v vs. the
-    # exact series in w = i v' / 5**(1/4), where v' = 5**(1/4) t v; monomial
-    # t**m w**j comes from summand (m + j) / 2, and the damping (m + j = 2)
-    # is not a summand of exponent_sum
+    # exact series in t' = 5**(1/4) t and w' = i v', where v' = 5**(1/4) t v;
+    # monomial t'**m w'**j comes from summand (m + j) / 2, and the damping
+    # (m + j = 2) is not a summand of exponent_sum
     from unclosed.series import exponent_series
 
     N = 7
     with mp.workdps(50):
         s = mp.mpf("0.02")
-        t = mp.sqrt(s)
+        t = mp.root(5, 4) * mp.sqrt(s)
         v = mp.mpf("0.4")
         direct = exponent_sum(N, s, v)
         ser = exponent_series(2 * N)
         w = mp.mpc(0, 1) * t * v
         assembled = mp.fsum(
-            c.embed(45) * w ** j * t ** m
+            mp.mpf(c.numerator) / c.denominator * w ** j * t ** m
             for m in ser.powers()
             for j, c in enumerate(ser.coeff(m).coeffs)
             if 4 <= m + j <= 2 * N

@@ -10,6 +10,9 @@ and cosh rows); they were written while polylog_delta still summed the two
 polylogs of its definition.  The `eval` files there pin the working digits,
 the term counts and the printed F, remainder and expansion values; they were
 written before f_direct took its working digits as a plain int.
+tests/reference/expansion-40.json is `render_expansion(compute_expansion(40))`
+as written while the series kernel still computed in Q(sqrt5); it pins every
+b_j and c_j through order 40, where no CLI reference file reaches.
 These tests only read the files.
 """
 
@@ -40,6 +43,11 @@ def _check(capsys, argv, path):
 )
 def test_cli_output_matches_reference(capsys, argv, name):
     _check(capsys, argv, REFERENCE_DIR / name)
+
+
+def test_expansion_40_matches_reference():
+    text = expansion.render_expansion(expansion.compute_expansion(40))
+    assert text == (TESTS_REFERENCE_DIR / "expansion-40.json").read_text(encoding="utf-8")
 
 
 def test_coeffs_12_after_24_in_one_process(capsys, monkeypatch):
