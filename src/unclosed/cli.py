@@ -29,7 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SUITE = 3
 
-S_MIN = "0.0005"  # smallest eval --s; f_direct's time grows ~3.5-5.5x per halving of s
+S_MIN = "0.0005"  # smallest eval --s; f_direct's time grows ~5.5-7x per halving of s
 
 
 class ConfigError(ValueError):

@@ -123,10 +123,13 @@ def f_direct_by_terms(s, digits):
 
 
 @pytest.mark.parametrize(
-    "s", ["0.0005", "0.001", "0.0023", "0.01", "0.05", "0.3", "1", "5", "20"]
+    "s", ["0.0005", "0.001", "0.0023", "0.01", "0.05", "0.3", "0.96", "0.97", "1", "5", "20"]
 )
 def test_f_direct_matches_the_per_term_loop(s):
-    # 0.0005 is the eval floor, where the c_k recurrence rounds the most
+    # 0.0005 is the eval floor, where the c_k recurrence rounds the most.
+    # 0.96 and 0.97 lie on either side of 2 asinh(1/2), where c_1 = 1: the
+    # terms fall from the first term on above it, so the loop switches from
+    # the rise to the tail one term earlier there
     digits = required_digits(s, 10)
     value, terms = f_direct(s, digits)
     ref, ref_terms = f_direct_by_terms(s, digits)
@@ -136,11 +139,12 @@ def test_f_direct_matches_the_per_term_loop(s):
 
 
 def test_f_direct_stops_where_the_per_term_loop_stops():
-    # 30 log-spaced s in [0.02, 20], each at 40 digit counts from the policy's
-    # up: the exponent shortcut in the stopping test must decide as the
-    # product does, also in the few cases where the exponents alone cannot
-    for k in range(30):
-        s = mp.nstr(mp.mpf("0.02") * mp.mpf(1000) ** (mp.mpf(k) / 29), 12)
+    # 30 log-spaced s in [0.02, 20] and the two s either side of c_1 = 1,
+    # each at 40 digit counts from the policy's up: the bit-length shortcut
+    # in the stopping test must decide as the product does, also in the few
+    # cases where the bit lengths alone cannot
+    grid = [mp.nstr(mp.mpf("0.02") * mp.mpf(1000) ** (mp.mpf(k) / 29), 12) for k in range(30)]
+    for s in grid + ["0.96", "0.97"]:
         low = max(30, required_digits(s))
         for digits in range(low, low + 40):
             terms = f_direct(s, digits)[1]
@@ -175,13 +179,32 @@ def test_f_direct_tail_after_the_stop_is_below_the_tolerance(s):
 
 
 def test_f_direct_agrees_with_a_run_at_more_digits():
-    # the policy's digits at s = 0.001 against 40 more: measured 1.1e-914
+    # the policy's digits at s = 0.001 against the per-term loop at 40 more,
+    # which shares no code with f_direct
     rep = eval_report("0.001")
     assert rep.digits == 908
     assert rep.terms_used == 2552
-    wide, _ = f_direct("0.001", 948)
+    wide, _ = f_direct_by_terms("0.001", 948)
     with mp.workdps(960):
         assert abs(rep.F_value - wide) <= mp.mpf(10) ** -908 * wide
+
+
+@pytest.mark.parametrize("s", ["0.0005", "0.001"])
+def test_f_direct_rounding_uses_few_guard_digits(s):
+    # against the same terms summed at 100 more digits from q**k and
+    # (1 - q**k)**2, not from the c_k recurrence: measured losses are 2.0
+    # and 2.3 of the GUARD_DIGITS
+    digits = required_digits(s, 10)
+    value, terms = f_direct(s, digits)
+    with mp.workdps(digits + GUARD_DIGITS + 100):
+        q = mp.exp(-mp.mpf(s))
+        qk = term = total = mp.mpf(1)
+        for _ in range(1, terms):
+            qk *= q
+            term *= qk / (1 - qk) ** 2
+            total += term
+        lost = GUARD_DIGITS + digits + mp.log10(abs(value - total) / total)
+    assert lost <= 5
 
 
 def test_remainder_tends_to_one():
