@@ -1,7 +1,7 @@
 """Exact-plus-numeric toolkit for a divergent q-series expansion at q -> 1.
 
 Modules:
-  field       exact arithmetic in Q(sqrt5)
+  field       exact values p + q*sqrt5 in Q(sqrt5): compare, embed, render
   sequences   Fibonacci, Eulerian and Bernoulli numbers, delta values
   series      truncated formal series in t' = 5**(1/4)*sqrt(s) with rational
               coefficients polynomial in the Gaussian variable w' = i*v

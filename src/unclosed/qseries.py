@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import mpmath as mp
 
 from .expansion import compute_expansion
-from .field import FieldElem, MINUS_PHI, PHI, PHI_INV
 
 __all__ = [
     "PrecisionError",
@@ -353,29 +352,26 @@ class LogPochReport:
 
 
 def log_poch_check(
-    w: FieldElem, v: float, N: int, s_grid: Sequence[Union[str, float]]
+    label: str, v: float, N: int, s_grid: Sequence[Union[str, float]]
 ) -> LogPochReport:
     """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation.
 
+    `label` names w: "1/phi" or "-phi", the two golden-ratio arguments.
     The truncation keeps orders k = -1..N of
     sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!, with every
     polylog from mpmath: k = -1 gives -Li_2(w)/s and k = 0 gives
     Li_1(w) * i*v.  Both sides are taken at 50 digits.  Expected error
     decay is s**(N+1) at fixed v.
     """
-    if w == PHI_INV:
-        label = "1/phi"
-    elif w == MINUS_PHI:
-        label = "-phi"
-    else:
-        raise ValueError("w must be one of the two golden-ratio arguments")
+    if label not in ("1/phi", "-phi"):
+        raise ValueError('label must be "1/phi" or "-phi"')
     if N < 1:
         raise ValueError("N must be >= 1")
     if any(not 0 < float(mp.mpf(s)) <= 0.2 for s in s_grid):
         raise ValueError("s grid must lie in (0, 0.2] for the truncation to be meaningful")
     dps = 50
     with mp.workdps(dps + 10):
-        wn = w.embed(dps)
+        wn = mp.phi - 1 if label == "1/phi" else -mp.phi
         # B_{k+1}(1/2 + i*v) does not depend on s
         x = mp.mpc(mp.mpf(1) / 2, v)
         terms = [
@@ -433,7 +429,6 @@ def minor_arc_check() -> MinorArcReport:
     dps = 40
     rows = []
     with mp.workdps(dps + 10):
-        phi = PHI.embed(dps)
         for s in ("0.05", "0.02"):
             smp = mp.mpf(s)
             qv = mp.exp(-smp)
@@ -441,9 +436,11 @@ def minor_arc_check() -> MinorArcReport:
             v_end = mp.pi / smp
             samples = sorted({min(f * v_low, v_end) for f in (1.0, 2.0, 5.0)}) + [v_end]
             for vv in samples:
-                num = log_pochhammer_inf(-phi * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * vv)), qv, dps)
+                num = log_pochhammer_inf(
+                    -mp.phi * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * vv)), qv, dps
+                )
                 den = log_pochhammer_inf(
-                    (1 / phi) * mp.exp(-smp * (mp.mpf(1) / 2 - mp.mpc(0, 1) * vv)), qv, dps
+                    (1 / mp.phi) * mp.exp(-smp * (mp.mpf(1) / 2 - mp.mpc(0, 1) * vv)), qv, dps
                 )
                 log_ratio = mp.re(num - den)
                 log_bound = mp.pi ** 2 / (5 * smp) - mp.sqrt(5) / (2 * smp ** mp.mpf("1/3"))

@@ -23,7 +23,7 @@ phi = (1 + sqrt5)/2, so
 
 a sum of integers with no rational arithmetic at all.  The tests check it
 against the defining pair of polylogs, each evaluated exactly from its
-rational Eulerian form.
+rational Eulerian form in sympy's Q(sqrt5).
 
 Bernoulli numbers come from mpmath's exact `bernfrac`.  Tables grow on
 demand and are cached; after construction they are only read, so

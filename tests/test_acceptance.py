@@ -6,11 +6,13 @@ captured output on failure) shows the per-criterion verdict.  Tolerances
 are pinned inside unclosed.suites.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 from unclosed import expansion, series, suites
+from unclosed.field import FieldElem
 from unclosed.series import PuiseuxSeries, VPoly
 from unclosed.suites import run_suite
 
@@ -33,6 +35,39 @@ def test_ac01_exact_first_coefficient():
 
 def test_ac02_delta_table():
     check("AC-2", "e-table", max_seconds=1.0)
+
+
+def test_ac01_fails_on_wrong_b1(monkeypatch):
+    # the expected sqrt5/40 is a literal; a b_1 of 41*sqrt5/40 must fail
+    good = suites.compute_expansion
+
+    def off_by_one(order):
+        result = good(order)
+        b1 = FieldElem(result.b[1].p, result.b[1].q + 1)
+        return dataclasses.replace(result, b=(result.b[0], b1, *result.b[2:]))
+
+    monkeypatch.setattr(suites, "compute_expansion", off_by_one)
+    result = run_suite("b1")
+    assert not result.ok
+    assert result.details[0]["computed"] == "0 + 41/40*sqrt5"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_ac02_fails_on_wrong_delta(monkeypatch, n):
+    # the expected sqrt5, 4 and 8*sqrt5 are literals; each delta value with its
+    # nonzero coordinate off by one must fail
+    good = suites.polylog_delta
+
+    def off_by_one(k):
+        d = good(k)
+        if k != n:
+            return d
+        return FieldElem(d.p + 1, d.q) if k % 2 else FieldElem(d.p, d.q + 1)
+
+    monkeypatch.setattr(suites, "polylog_delta", off_by_one)
+    result = run_suite("e-table")
+    assert not result.ok
+    assert [row["match"] for row in result.details] == [k != n for k in range(3)]
 
 
 def test_ac03_gaussian_moments():

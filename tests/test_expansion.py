@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from unclosed import expansion, series
 from unclosed.expansion import assembled_series, compute_expansion, render_expansion
-from unclosed.field import FieldElem, ONE, SQRT5
+from unclosed.field import FieldElem
 from unclosed.series import PuiseuxSeries, VPoly, exponent_series
 
 
 def test_b0_and_b1_exact():
     r = compute_expansion(1)
-    assert r.b[0] == ONE
-    assert r.b[1] == SQRT5 * Fraction(1, 40)
+    assert r.b[0] == FieldElem(1)
+    assert r.b[1] == FieldElem(0, Fraction(1, 40))
     assert json.loads(render_expansion(r))["b"][1]["value"].startswith("0.055901699437494742")
 
 
@@ -120,7 +120,8 @@ def test_off_grade_delta_fails_the_entry_check(monkeypatch):
     good = series.polylog_delta
 
     def off_grade(n):
-        return good(n) + ONE if n == 2 else good(n)
+        d = good(n)
+        return FieldElem(d.p + 1, d.q) if n == 2 else d
 
     monkeypatch.setattr(series, "polylog_delta", off_grade)
     monkeypatch.setattr(expansion, "_prefix", None)

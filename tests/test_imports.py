@@ -4,16 +4,17 @@ A name counts as used when the module's code loads it (alone or as the base
 of an attribute chain) or when the module's `__all__` lists it.  The check
 covers the package modules and the demos.
 
-The dead-code guard flags a module-level function or class, or a method
-other than a dunder, defined in `src/unclosed/` that no code in `src/` or
-`demos/` references by name outside the definition's own body.  A reference
-to a function or class is a loaded `ast.Name`, a loaded `ast.Attribute` or an
-import alias; a method is reached only through an attribute, so a loaded
-`ast.Name` (a parameter or local of the same name) does not count for it.
-Names are otherwise matched without their owner, so a definition whose name
-is referenced anywhere counts as used: the guard can miss dead code but does
-not flag live code.  Dunder methods are out of scope, since the interpreter
-calls them by operator.
+The dead-code guard flags a module-level function, class or assigned name,
+or a method, defined in `src/unclosed/` that no code in `src/` or `demos/`
+references by name outside the definition's own body (for an assigned name,
+its own statement).  A reference to a module-level definition is a loaded
+`ast.Name`, a loaded `ast.Attribute` or an import alias; a method is reached
+only through an attribute, so a loaded `ast.Name` (a parameter or local of
+the same name) does not count for it.  A listing in `__all__` is not a
+reference.  Names are otherwise matched without their owner, so a definition
+whose name is referenced anywhere counts as used: the guard can miss dead
+code but does not flag live code.  Dunder names are out of scope: the
+interpreter calls dunder methods by operator and reads `__all__` itself.
 
 The knob guard flags a defaulted parameter of a module-level function or a
 method defined in `src/unclosed/` that no call in `src/` or `demos/` passes,
@@ -74,16 +75,28 @@ def referenced_names(node):
     return bare, qualified
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """(qualified name, node, is method) of each module-level function or class and each
-    non-dunder method."""
+    """(qualified name, node, is method) of each module-level function, class or assigned
+    name other than a dunder, and each non-dunder method; an assigned name's node is its
+    whole assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node, False
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    stored = isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+                    if stored and not is_dunder(sub.id):
+                        yield sub.id, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 is_method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                if is_method and not (item.name.startswith("__") and item.name.endswith("__")):
+                if is_method and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item, True
 
 
@@ -99,10 +112,11 @@ def unreferenced(package, others):
         for qualname, node, is_method in definitions(tree):
             if f"{module}.{qualname}" in ENTRY_POINTS:
                 continue
+            name = qualname.rpartition(".")[2]
             own_bare, own_qualified = referenced_names(node)
-            refs = qualified[node.name] - own_qualified[node.name]
+            refs = qualified[name] - own_qualified[name]
             if not is_method:
-                refs += bare[node.name] - own_bare[node.name]
+                refs += bare[name] - own_bare[name]
             if not refs:
                 dead.append(f"{module}.{qualname}")
     return dead
@@ -123,7 +137,7 @@ def defaulted_parameters(tree):
         qualname, call_name = owner + node.name, node.name
         if node.name == "__init__":
             call_name = qualname.partition(".")[0]
-        elif node.name.startswith("__") and node.name.endswith("__"):
+        elif is_dunder(node.name):
             continue
         positional = node.args.posonlyargs + node.args.args
         bound = is_method and not any(
@@ -224,6 +238,26 @@ def test_detects_an_unreferenced_method():
     assert unreferenced({"m": planted}, [demo]) == ["m.C.size", "m.C.dead", "m.helper"]
     assert unreferenced({"m": planted}, []) == [
         "m.C", "m.C.used", "m.C.size", "m.C.dead", "m.helper"
+    ]
+
+
+def test_detects_an_unreferenced_module_constant():
+    # ZERO is only listed in __all__ and TWO is read by nobody; ONE counts as
+    # used because TWO reads it, and LIMIT through the function that reads it
+    planted = ast.parse(
+        "__all__ = ['ZERO', 'ONE']\n"
+        "ZERO = 0\n"
+        "ONE = 1\n"
+        "TWO = ONE + ONE\n"
+        "A, B = 2, 3\n"
+        "LIMIT: int = 10\n"
+        "def below(n):\n"
+        "    return n < LIMIT\n"
+    )
+    demo = ast.parse("import m\nm.below(m.A)\n")
+    assert unreferenced({"m": planted}, [demo]) == ["m.ZERO", "m.TWO", "m.B"]
+    assert unreferenced({"m": planted}, []) == [
+        "m.ZERO", "m.TWO", "m.A", "m.B", "m.below"
     ]
 
 

@@ -3,7 +3,6 @@ import warnings
 import mpmath as mp
 import pytest
 
-from unclosed.field import MINUS_PHI, PHI_INV, SQRT5
 from unclosed.qseries import (
     GUARD_DIGITS,
     ConstantTermReport,
@@ -216,7 +215,7 @@ def test_remainder_tends_to_one():
         errs = [abs(vals[s] - 1) for s in ("0.2", "0.1", "0.05")]
         assert errs[0] > errs[1] > errs[2]
         # leading-order dominance at s = 0.1
-        b1 = SQRT5.embed(40) / 40
+        b1 = mp.sqrt(5) / 40
         assert abs((vals["0.1"] - 1) / (b1 * mp.mpf("0.1")) - 1) < 0.3
 
 
@@ -248,7 +247,7 @@ def test_extract_coefficient_residual_scaling():
         R = normalized_remainder(s, 80)
         with mp.workdps(90):
             smp = mp.mpf(s)
-            b1 = SQRT5.embed(60) / 40
+            b1 = mp.sqrt(5) / 40
             r2.append(abs(R - 1 - b1 * smp))
     ratio2 = float(r2[0] / r2[1])
     assert 2.0 < ratio2 < 8.0  # ~4 for an s^2 residual under halving
@@ -294,13 +293,13 @@ def test_dilog_closed_forms():
     # where the closed forms give both values and their difference pi^2/5
     with mp.workdps(45):
         phi = (1 + mp.sqrt(5)) / 2
-        lp = mp.polylog(2, PHI_INV.embed(40))
-        lm = mp.polylog(2, MINUS_PHI.embed(40))
+        lp = mp.polylog(2, mp.phi - 1)
+        lm = mp.polylog(2, -mp.phi)
         assert abs(lp - (mp.pi ** 2 / 10 - mp.log(phi) ** 2)) < mp.mpf("1e-38")
         assert abs(lm - (-mp.pi ** 2 / 10 - mp.log(phi) ** 2)) < mp.mpf("1e-38")
         assert abs((lp - lm) - mp.pi ** 2 / 5) < mp.mpf("1e-38")
         # Li_1(x) = -log(1 - x) = -log1p(-x); at 1/phi it is 2 log(phi)
-        assert abs(-mp.log1p(-PHI_INV.embed(40)) - 2 * mp.log(phi)) < mp.mpf("1e-38")
+        assert abs(-mp.log1p(-(mp.phi - 1)) - 2 * mp.log(phi)) < mp.mpf("1e-38")
 
 
 def test_log_pochhammer_consistent_with_product():
@@ -386,7 +385,7 @@ def test_log_pochhammer_real_part_matches_qp_modulus():
 
 
 def test_log_poch_check_error_scaling():
-    rep = log_poch_check(PHI_INV, 0.0, 2, ["0.1", "0.05"])
+    rep = log_poch_check("1/phi", 0.0, 2, ["0.1", "0.05"])
     assert rep.w_label == "1/phi"
     ratio = rep.halving_ratios[0]
     assert 4.0 <= ratio <= 16.0
@@ -398,19 +397,20 @@ def test_log_poch_check_error_scaling():
 
 
 def test_log_poch_check_improves_with_order():
-    e2 = log_poch_check(PHI_INV, 0.0, 2, ["0.1"]).rows[0].abs_err
-    e4 = log_poch_check(PHI_INV, 0.0, 4, ["0.1"]).rows[0].abs_err
+    e2 = log_poch_check("1/phi", 0.0, 2, ["0.1"]).rows[0].abs_err
+    e4 = log_poch_check("1/phi", 0.0, 4, ["0.1"]).rows[0].abs_err
     assert e4 < e2
 
 
 def test_log_poch_check_other_argument_and_nonzero_v():
-    rep = log_poch_check(MINUS_PHI, 0.25, 2, ["0.1", "0.05"])
+    rep = log_poch_check("-phi", 0.25, 2, ["0.1", "0.05"])
     assert rep.w_label == "-phi"
     assert 3.0 <= rep.halving_ratios[0] <= 20.0
+    for label in ("phi", "sqrt5", "1/PHI"):
+        with pytest.raises(ValueError):
+            log_poch_check(label, 0.0, 2, ["0.1"])
     with pytest.raises(ValueError):
-        log_poch_check(SQRT5, 0.0, 2, ["0.1"])
-    with pytest.raises(ValueError):
-        log_poch_check(PHI_INV, 0.0, 2, ["0.5"])
+        log_poch_check("1/phi", 0.0, 2, ["0.5"])
 
 
 def test_minor_arc_bound():

@@ -5,7 +5,8 @@ from itertools import permutations
 import mpmath as mp
 import pytest
 
-from unclosed.field import FieldElem, MINUS_PHI, ONE, PHI, PHI_INV, SQRT5, ZERO
+from sympy import QQ, sqrt
+from unclosed.field import FieldElem
 from unclosed.qseries import log_poch_check
 from unclosed.sequences import (
     bernoulli_half,
@@ -15,15 +16,28 @@ from unclosed.sequences import (
     polylog_delta,
 )
 
+# the oracle computes in sympy's Q(sqrt5) and shares no code with FieldElem
+K = QQ.algebraic_field(sqrt(5))
+PHI = K.from_sympy((1 + sqrt(5)) / 2)
+PHI_INV = PHI - K.one
+MINUS_PHI = -PHI
 
-def field_inverse(x):
-    # (p - q sqrt5) / (p**2 - 5 q**2); the norm of x != 0 is nonzero since sqrt5 is irrational
-    norm = x.p * x.p - 5 * x.q * x.q
-    return FieldElem(x.p / norm, -x.q / norm)
+
+def coords(x):
+    """(p, q) with x = p + q*sqrt5, for a sympy element x of K."""
+    rep = [Fraction(int(c.numerator), int(c.denominator)) for c in x.to_list()]
+    q, p = [Fraction(0)] * (2 - len(rep)) + rep
+    return p, q
+
+
+def embed(x):
+    """Real value of x at the working precision, with sqrt5 > 0."""
+    p, q = coords(x)
+    return mp.mpf(p.numerator) / p.denominator + mp.mpf(q.numerator) / q.denominator * mp.sqrt(5)
 
 
 def polylog_neg(n, w):
-    """Li_{-n}(w) as an exact field element, n >= 0.
+    """Li_{-n}(w) as an exact element of K, n >= 0.
 
     The closed rational form with Eulerian numerator: Li_0(w) = w/(1-w)
     and Li_{-n}(w) = sum_k A(n,k) w**(k+1) / (1-w)**(n+1).  It is the
@@ -31,12 +45,12 @@ def polylog_neg(n, w):
     """
     if n < 0:
         raise ValueError("only non-positive polylog orders are exact here")
-    if w == ONE:
+    if w == K.one:
         raise ZeroDivisionError("pole at w = 1")
-    one_minus_w_inv = field_inverse(ONE - w)
+    one_minus_w_inv = K.one / (K.one - w)
     if n == 0:
         return w * one_minus_w_inv
-    num = ZERO
+    num = K.zero
     wp = w
     for a in eulerian_row(n):
         num = num + wp * a
@@ -65,7 +79,7 @@ def test_fibonacci_at_negative_and_positive_indices():
     # phi**n = F(n-1) + F(n) phi for every integer n, with phi**-1 = phi - 1
     for n in range(-20, 21):
         power = PHI**n if n >= 0 else PHI_INV ** -n
-        assert power == FieldElem(values[n - 1]) + PHI * values[n], n
+        assert power == K.convert(values[n - 1]) + PHI * values[n], n
 
 
 def test_eulerian_small_rows():
@@ -149,7 +163,7 @@ def test_polylog_neg_basic_values():
     assert polylog_neg(0, PHI_INV) == PHI
     assert polylog_neg(0, MINUS_PHI) == -PHI_INV
     with pytest.raises(ZeroDivisionError):
-        polylog_neg(1, ONE)
+        polylog_neg(1, K.one)
     with pytest.raises(ValueError):
         polylog_neg(-1, PHI_INV)
 
@@ -192,21 +206,21 @@ def test_polylog_neg_derivative_identity_numeric():
     h = mp.mpf("1e-25")
     with mp.workdps(60):
         for w in (PHI_INV, MINUS_PHI):
-            wn = w.embed(55)
+            wn = embed(w)
             for n in range(0, 5):
                 def li(x, order=n):
                     num = sum(a * x ** (k + 1) for k, a in enumerate(eulerian_row(order)))
                     return num / (1 - x) ** (order + 1) if order else x / (1 - x)
 
                 deriv = (li(wn + h) - li(wn - h)) / (2 * h)
-                lhs = polylog_neg(n + 1, w).embed(55)
+                lhs = embed(polylog_neg(n + 1, w))
                 assert abs(lhs - wn * deriv) < mp.mpf("1e-20") * (1 + abs(lhs))
 
 
 def test_delta_table_values():
-    assert polylog_delta(0) == SQRT5
+    assert polylog_delta(0) == FieldElem(0, 1)
     assert polylog_delta(1) == FieldElem(4)
-    assert polylog_delta(2) == SQRT5 * 8
+    assert polylog_delta(2) == FieldElem(0, 8)
     table = [polylog_delta(n) for n in range(21)]
     # sqrt5 -> -sqrt5 swaps 1/phi and -phi, so delta(n) lies in sqrt5**(n+1) * Q
     for n, v in enumerate(table):
@@ -219,7 +233,8 @@ def test_delta_matches_two_polylog_definition():
     # through n = 80, which the order-40 expansion reads
     for n in range(81):
         want = polylog_neg(n, PHI_INV) - polylog_neg(n, MINUS_PHI) * (-1) ** n
-        assert polylog_delta(n) == want, n
+        got = polylog_delta(n)
+        assert (got.p, got.q) == coords(want), n
 
 
 def test_delta_coordinates_are_integers():
@@ -237,20 +252,24 @@ def test_delta_table_caps():
     assert v.p.denominator == 1 and v.q.denominator == 1
 
 
-@pytest.mark.parametrize("w, v, N", [(PHI_INV, 0.0, 4), (MINUS_PHI, 0.25, 2)])
+@pytest.mark.parametrize(
+    "w, v, N", [(("1/phi", PHI_INV), 0.0, 4), (("-phi", MINUS_PHI), 0.25, 2)]
+)
 def test_log_poch_truncation_matches_exact_polylog_oracle(w, v, N):
     # log_poch_check takes every polylog from mpmath; here k >= 1 uses the
     # exact rational values and k <= 0 Li_2 and Li_1 = -log1p(-w)
+    label, w = w
     s_grid = ("0.2", "0.1", "0.05")
-    rep = log_poch_check(w, v, N, s_grid)
+    rep = log_poch_check(label, v, N, s_grid)
+    assert rep.w_label == label
     with mp.workdps(60):
-        wn = w.embed(60)
+        wn = embed(w)
         x = mp.mpc(mp.mpf(1) / 2, v)
         for row, s in zip(rep.rows, s_grid):
             smp = mp.mpf(s)
             want = -mp.polylog(2, wn) / smp - mp.log1p(-wn) * mp.mpc(0, v)
             for k in range(1, N + 1):
-                coeff = polylog_neg(k - 1, w).embed(60)
+                coeff = embed(polylog_neg(k - 1, w))
                 want += coeff * (-smp) ** k * mp.bernpoly(k + 1, x) / math.factorial(k + 1)
             assert abs(row.truncated - want) < mp.mpf("1e-45"), (s, row.truncated, want)
 
@@ -259,5 +278,5 @@ def test_index_minus_one_vanishes_numerically():
     # the order -1 combination involves Li_1 and is transcendental; at 30+
     # digits the two logs cancel to well below 1e-25
     with mp.workdps(50):
-        val = -mp.log1p(-PHI_INV.embed(40)) - mp.log1p(-MINUS_PHI.embed(40))
+        val = -mp.log1p(-embed(PHI_INV)) - mp.log1p(-embed(MINUS_PHI))
         assert abs(val) < mp.mpf("1e-25")
