@@ -108,12 +108,17 @@ def _suite_doc(result: suites.SuiteResult, tag: str) -> dict:
     }
 
 
+def _timed_line(result: suites.SuiteResult) -> str:
+    # the wall time goes to stderr only, so stdout stays byte-identical
+    return f"{result.line()}  ({result.elapsed:.3f} s)"
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     tag = suites.SUITES[args.suite][0]
     result = suites.run_suite(args.suite)
     doc = {"schema_version": SCHEMA_VERSION, "kind": "verify", **_suite_doc(result, tag)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    sys.stderr.write(result.line() + "\n")
+    sys.stderr.write(_timed_line(result) + "\n")
     return EXIT_OK if result.ok else EXIT_SUITE
 
 
@@ -129,7 +134,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     for tag, r in results:
-        sys.stderr.write(f"[{tag}] {r.line()}\n")
+        sys.stderr.write(f"[{tag}] {_timed_line(r)}\n")
     return EXIT_OK if all_ok else EXIT_SUITE
 
 

@@ -7,7 +7,6 @@ are pinned inside unclosed.suites.
 """
 
 import dataclasses
-import time
 
 import pytest
 
@@ -18,13 +17,11 @@ from unclosed.suites import run_suite
 
 
 def check(tag, name, max_seconds=None):
-    start = time.perf_counter()
     result = run_suite(name)
-    elapsed = time.perf_counter() - start
-    print(f"[{tag}] {result.line()}  ({elapsed:.2f}s)")
+    print(f"[{tag}] {result.line()}  ({result.elapsed:.2f}s)")
     assert result.ok, f"{tag} failed: {result.details}"
     if max_seconds is not None:
-        assert elapsed < max_seconds, f"{tag} exceeded its runtime budget"
+        assert result.elapsed < max_seconds, f"{tag} exceeded its runtime budget"
 
 
 def test_ac01_exact_first_coefficient():

@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from unclosed import cli, suites
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(capsys, *args):
@@ -153,7 +156,7 @@ def test_verify_single_suite(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["criterion_tag"] == "AC-5"
-    assert "PASS" in err
+    assert re.fullmatch(r"PASS  constant-term: .*  \(\d+\.\d{3} s\)\n", err)
     # byte-identical on a second run: no timing or other volatile fields
     code2, out2, _ = run_cli(capsys, "verify", "--suite", "constant-term")
     assert (code2, out2) == (code, out)
@@ -173,13 +176,16 @@ def test_verify_missing_suite_flag(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def failing():
+        time.sleep(0.02)
         return suites.SuiteResult(name="always-fails", criterion="forced", ok=False)
 
     monkeypatch.setitem(suites.SUITES, "always-fails", ("extra", failing))
     code, out, err = run_cli(capsys, "verify", "--suite", "always-fails")
     assert code == 3
     assert json.loads(out)["ok"] is False
-    assert "FAIL" in err
+    # the suite's measured wall time, not a default
+    line = re.fullmatch(r"FAIL  always-fails: forced  \((\d+\.\d{3}) s\)\n", err)
+    assert line and float(line.group(1)) >= 0.02
 
 
 def test_tables(capsys):
@@ -255,7 +261,14 @@ def test_report_runs_all(capsys):
     assert doc["all_ok"] is True
     tags = {row["criterion_tag"] for row in doc["suites"]}
     assert {"AC-%d" % i for i in range(1, 11)} <= tags
-    assert err.count("PASS") == len(doc["suites"])
+    # stdout stays the pinned reference; each suite's wall time goes to
+    # stderr only, one line per suite
+    assert out == (REFERENCE_DIR / "report.json").read_text(encoding="utf-8")
+    lines = err.splitlines()
+    assert len(lines) == len(doc["suites"])
+    for line, row in zip(lines, doc["suites"]):
+        tag, name = re.escape(row["criterion_tag"]), re.escape(row["suite"])
+        assert re.fullmatch(rf"\[{tag}\] PASS  {name}: .*  \(\d+\.\d{{3}} s\)", line), line
 
 
 def test_cli_runs_without_numpy():

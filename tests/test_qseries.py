@@ -372,6 +372,79 @@ def test_log_pochhammer_keeps_the_principal_log_branch():
         assert_matches_factor_by_factor(c, q)
 
 
+def test_log_pochhammer_rejects_a_vanishing_factor():
+    # c q**2 = 1 exactly: the log of the product has no finite value
+    with pytest.raises(ValueError, match="zero"):
+        log_pochhammer_inf(4, mp.mpf("0.5"), 40)
+
+
+def test_log_pochhammer_real_prefactor_above_one():
+    # c = 1.9 at s = 0.01: the 65 factors 1 - c q**n with n <= 64 are negative
+    # reals, and each principal log has imaginary part +pi (the int kernel's
+    # c has c_i = 0, so the sign of a zero imaginary part decides the branch)
+    with mp.workdps(50):
+        c, q = mp.mpf("1.9"), mp.exp(-mp.mpf("0.01"))
+        value = log_pochhammer_inf(c, q, 40)
+        assert abs(mp.im(value) - 65 * mp.pi) < mp.mpf("1e-38")
+        assert_matches_factor_by_factor(c, q)
+
+
+def test_log_pochhammer_branch_of_a_nearly_vanishing_factor():
+    # c q**2 = 1 + 2.5e-31 at q = 1/2: the factors for n = 0, 1, 2 are
+    # negative reals, the last one far below a float's resolution, so
+    # its argument +pi must come from the ints, not from float copies of c
+    with mp.workdps(60):
+        value = log_pochhammer_inf(4 + mp.mpf("1e-30"), mp.mpf("0.5"), 40)
+        assert abs(mp.im(value) - 3 * mp.pi) < mp.mpf("1e-38")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_log_pochhammer_keeps_the_sign_of_a_tiny_imaginary_part(sign):
+    # Im c = +-1e-70 is far below the kernel's 2**-W at 40 digits, yet it
+    # puts each of the 10 negative factors 1 - c q**n (phi q**n > 1) at
+    # -+pi rather than +pi
+    with mp.workdps(50):
+        c, q = mp.mpc(mp.phi, sign * mp.mpf("1e-70")), mp.exp(-mp.mpf("0.05"))
+        value = log_pochhammer_inf(c, q, 40)
+        assert abs(mp.im(value) + sign * 10 * mp.pi) < mp.mpf("1e-38")
+        assert_matches_factor_by_factor(c, q)
+
+
+@pytest.mark.parametrize("s_str", ["0.1", "0.05"])
+def test_log_pochhammer_matches_factor_by_factor_at_log_poch_check_digits(s_str):
+    # log_poch_check's two arguments at its own 50 digits:
+    # w = 1/phi with v = 0, and w = -phi with v = 0.25
+    with mp.workdps(60):
+        s = mp.mpf(s_str)
+        q = mp.exp(-s)
+        for w, v in ((mp.phi - 1, 0), (-mp.phi, mp.mpf("0.25"))):
+            c = w * mp.exp(-s * (mp.mpf(1) / 2 + mp.mpc(0, 1) * v))
+            assert_matches_factor_by_factor(c, q, 50)
+
+
+def test_log_pochhammer_long_factor_phase():
+    # |c| = phi e^(-s/2) at s = 0.001: about 1,170 factors go into one int
+    # product, and the n-th carries n floored updates of c q**n.  The oracle
+    # logs them one by one; the rest is the Euler tail from x = c q**M, which
+    # the tests above check against the oracle (the full oracle here would
+    # log some 100,000 factors).  The bound is the last of the 50 working
+    # digits: the 24 guard bits keep the rounding at 1.4e-52, 8 keep it at
+    # 1.7e-51, and none lets it grow to 6.5e-49.
+    with mp.workdps(50):
+        s = mp.mpf("0.001")
+        q = mp.exp(-s)
+        c = minor_arc_prefactors(s, s ** mp.mpf("-2/3"))[0]
+        head, x, M = mp.mpc(0), c, 0
+        while abs(x) > 0.5:
+            head += mp.log(1 - x)
+            x *= q
+            M += 1
+        assert 1100 < M < 1200
+        ref = head + log_pochhammer_inf(x, q, 40)
+        value = log_pochhammer_inf(c, q, 40)
+        assert abs(value - ref) <= mp.mpf(10) ** -50 * abs(ref)
+
+
 def test_log_pochhammer_real_part_matches_qp_modulus():
     # log|(c; q)_inf| from mpmath's product code, at four minor-arc arguments
     with mp.workdps(50):
