@@ -29,7 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SUITE = 3
 
-S_MIN = "0.0005"  # smallest eval --s; f_direct's time grows ~5.5-7x per halving of s
+S_MIN = "0.0005"  # smallest eval --s; f_direct's time grows ~5-6x per halving of s
 
 
 class ConfigError(ValueError):
@@ -70,7 +70,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"s = {s} outside the supported range [{S_MIN}, 5]")
         parsed.append((float(sv), s))
     parsed.sort()
-    reports = [qseries.eval_report(s, order=args.order) for _, s in parsed]
+    # a repeated --s string is summed once and printed once per occurrence
+    by_s = {s: qseries.eval_report(s, order=args.order) for s in dict.fromkeys(s for _, s in parsed)}
+    reports = [by_s[s] for _, s in parsed]
     digits = min(args.precision, 20)
     rows = [
         {

@@ -1,22 +1,18 @@
 """Arbitrary-precision evaluation of the target q-series and its checks.
 
 The central object is F(q) = sum_m q^(m(m+1)/2) / (q;q)_m**2 evaluated at
-q = exp(-s) for small s > 0, where F grows like exp(pi**2/(5 s)).  The
-precision policy therefore ties the working digit count to s:
-
-    digits >= ceil(pi**2 / (5 s) / ln 10) + 40  (+ requested output digits)
-
-Summation has no cancellation (all terms positive for real s), so no
-further headroom is needed.  The rounding of f_direct's integer loop, the
-c_k recurrence before the peak term and the floored divisions after it,
-uses part of its GUARD_DIGITS, not of the policy's digits.  The
-module also hosts the exact constant-term identity check, truncated
-log-Pochhammer error scaling, and the minor-arc bound measurement; those
-back the exact expansion against independent numerics.  The last two sum
-log (c; q)_inf through log_pochhammer_inf, which also runs on Python ints:
-a fixed-point complex product of the factors with |c q**n| > 1/2 and one
-mp.log of it, whose branch comes back from float arguments, then Euler's
-series for the rest.  Its rounding uses part of its own 24 guard bits.
+q = exp(-s) for small s > 0, where F grows like exp(pi**2/(5 s)).  Its
+direct sum f_direct and the precision policy required_digits live in
+`direct` and are re-exported here; this module builds on them the
+normalized remainder, the comparison with the truncated expansion and the
+numeric extraction of its coefficients.  The module also hosts the exact
+constant-term identity check, truncated log-Pochhammer error scaling, and
+the minor-arc bound measurement; those back the exact expansion against
+independent numerics.  The last two sum log (c; q)_inf through
+log_pochhammer_inf, which also runs on Python ints: a fixed-point complex
+product of the factors with |c q**n| > 1/2 and one mp.log of it, whose
+branch comes back from float arguments, then Euler's series for the rest.
+Its rounding uses part of its own 24 guard bits.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
+from .direct import GUARD_DIGITS, PrecisionError, f_direct, required_digits
 from .expansion import compute_expansion
 
 __all__ = [
@@ -49,148 +46,8 @@ __all__ = [
 ]
 
 
-class PrecisionError(ValueError):
-    """Raised when a digit count is below the s-dependent precision policy."""
-
-
-# tail and rounding slack on top of f_direct's digit count, which is
-# required_digits(s, 10) in eval_report and extract_coefficient and 80 in
-# the scaling suite
-GUARD_DIGITS = 20
-
-# f_direct's bits beyond the working precision in its fixed-point c_1, and
-# beyond each tail term's bit length in c
-_RISE_BITS = 16
-_TAIL_BITS = 64
-
 # log_pochhammer_inf's bits beyond the working precision in its ints
 _LOGPOCH_BITS = 24
-
-
-def required_digits(s: Union[str, float], out_digits: int = 0) -> int:
-    """Minimum working digits for evaluating near exp(pi**2/(5 s)) scale."""
-    with mp.workdps(30):
-        smp = mp.mpf(s)
-        if smp <= 0:
-            raise ValueError("s must be positive")
-        base = int(mp.ceil(mp.pi ** 2 / (5 * smp) / mp.log(10)))
-    return base + 40 + out_digits
-
-
-def f_direct(s, digits: int) -> Tuple[mp.mpf, int]:
-    """Direct summation of F(exp(-s)) and the number of terms summed.
-
-    Term m is T_m = q**(m(m+1)/2) / (q;q)_m**2 = 1 / prod_{k<=m} c_k,
-    since q**(m(m+1)/2) = prod_{k<=m} q**k, with
-
-        c_k = (1 - q**k)**2 / q**k = q**-k - 2 + q**k = 4 sinh(ks/2)**2.
-
-    With y = q + 1/q = 2 + c_1 and c_0 = 0, the identity
-    2cosh((k+1)s) = y 2cosh(ks) - 2cosh((k-1)s) gives the recurrence
-    c_(k+1) = y c_k - c_(k-1) + 2 c_1.  The loop runs it on the
-    differences d_k = c_k - c_(k-1), and c_k is even in k:
-
-        d_(k+1) = d_k + c_1 (c_k + 2),  c_(k+1) = c_k + d_(k+1),  d_0 = -c_1.
-
-    That is one multiply per term, with no 2cosh - 2 cancellation, and it
-    never forms y, whose rounding would drop the low digits of c_1 ~ s**2;
-    c_1 = 4 sinh(s/2)**2 comes from s itself.
-
-    The loop runs on Python ints in two phases.  The term ratio r_m = 1/c_m
-    falls as m grows, so the terms rise while c_m <= 1 and fall from the
-    first c_m > 1 on: the peak is at m = 2 ln(phi) / s, or at m = 0 once
-    c_1 > 1 (s > 2 asinh(1/2)).  In the rise, c, d and c_1 are fixed-point
-    numbers at scale 2**W, with W = prec - mag(c_1) + _RISE_BITS for the
-    working precision of prec bits.  The partial sum is one fraction num / P
-    with P = prod_{k<=m} c_k: term m sets P *= c_m, a mantissa cut to prec
-    bits with its own exponent, and num = num c_m + 1, which lies in
-    [1, m + 1] and stays at scale 2**W.  A term costs three multiplies at
-    the working precision.  The tail divides once, to hold the sum S and
-    the last term t as integers in the unit u = 2**(mag(S) - prec); then
-    each term is t = t / c_m, floored, and S += t.  A term needs c to only
-    its own bit length in u, so after each term W, c, d and c_1 drop all
-    but _TAIL_BITS guard bits beyond t.bit_length() from c: as the terms
-    shrink, a term costs one multiply and one division at the bits it
-    still adds to S.  Against F(exp(-s)) summed over the same terms at 100
-    more digits from q**k and (1 - q**k)**2, the result loses 2.0 of the
-    GUARD_DIGITS = 20 digits at s = 0.0005 (the eval floor) and 2.3 at
-    s = 0.001.
-
-    All terms are positive.  Summation stops after five successive terms
-    that each fall below the one before and below 10**-digits times the
-    running total: term_m < term_(m-1) is c_m > 1, so no streak starts in
-    the rise, and term_m < total * 10**-digits is t * 10**digits < S, an
-    exact integer comparison.  The terms rise to one peak and then fall
-    ever faster, so the streak ends past the peak, and everything after
-    the last term M is below term_M r / (1 - r) with r = 1 / c_(M+1) < 1:
-    at s = 0.001, r is 0.09, so the tail is below 0.11 term_M, and term_M
-    is itself below 10**-digits times the sum.
-    """
-    with mp.workdps(digits + GUARD_DIGITS):
-        smp = mp.mpf(s)
-        if smp <= 0:
-            raise ValueError("s must be positive")
-        need = required_digits(s)
-        if digits < need:
-            raise PrecisionError(f"s={s} needs at least {need} digits, got {digits}")
-        prec = mp.mp.prec
-        c1 = 4 * mp.sinh(smp / 2) ** 2
-        W = max(prec - mp.mag(c1) + _RISE_BITS, 0)
-        c1 = int(mp.ldexp(c1, W))
-        one, two = 1 << W, 2 << W
-        c, d = 0, -c1  # c_m and d_m at m = 0
-        P, P_exp = 1 << prec, -prec  # prod_{k<=m} c_k = P * 2**P_exp
-        num = one  # the sum of terms 0..m times P
-        m = 0
-        while True:
-            m += 1
-            d += c1 * (c + two) >> W
-            c += d
-            if c > one:
-                break
-            P *= c
-            cut = P.bit_length() - prec
-            P >>= cut
-            P_exp += cut - W
-            num = (num * c >> W) + one
-            if m > 2_000_000:  # pragma: no cover - defensive cap
-                raise ArithmeticError("series did not reach the stopping rule")
-        # S = num / P and t = 1 / P, the sum and the last term through m - 1,
-        # as integers in the unit u = 2**-shift with S of about prec bits
-        k = prec + P.bit_length() - num.bit_length()
-        S = (num << k) // P
-        t = (one << k) // P
-        shift = k + W + P_exp
-        scale = 10 ** digits
-        scale_bits = scale.bit_length()
-        small_streak = 0
-        while True:
-            t = (t << W) // c
-            S += t
-            # t * scale < S.  With a, b and n the bit lengths of t, scale
-            # and S, t * scale lies in [2**(a + b - 2), 2**(a + b)) and S in
-            # [2**(n - 1), 2**n), so gap = n - a - b decides unless it is -1
-            # or 0; only then is the product needed.
-            gap = S.bit_length() - t.bit_length() - scale_bits
-            if gap >= 1 or (gap >= -1 and t * scale < S):
-                small_streak += 1
-                if small_streak >= 5:
-                    break
-            else:
-                small_streak = 0
-            drop = min(c.bit_length() - t.bit_length() - _TAIL_BITS, W)
-            if drop > 0:
-                c >>= drop
-                d >>= drop
-                c1 >>= drop
-                W -= drop
-                two = 2 << W
-            m += 1
-            if m > 2_000_000:  # pragma: no cover - defensive cap
-                raise ArithmeticError("series did not reach the stopping rule")
-            d += c1 * (c + two) >> W
-            c += d
-        return mp.mpf((S, -shift)), m + 1
 
 
 def _normalize(value: mp.mpf, smp: mp.mpf) -> mp.mpf:

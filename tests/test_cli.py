@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from unclosed import cli, suites
+from unclosed import cli, qseries, suites
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -141,6 +141,20 @@ def test_eval_deterministic_and_sorted(capsys):
     doc = json.loads(out1)
     assert [row["s"] for row in doc["rows"]] == ["0.1", "0.2"]
     assert all(row["terms_used"] >= 1 for row in doc["rows"])
+
+
+def test_eval_sums_a_repeated_s_once(capsys, monkeypatch):
+    calls = []
+    eval_report = qseries.eval_report
+    monkeypatch.setattr(qseries, "eval_report", lambda s, order: calls.append(s) or eval_report(s, order))
+    code, out, _ = run_cli(capsys, "eval", "--s", "0.2", "--s", "0.1", "--s", "0.2")
+    assert code == 0
+    assert sorted(calls) == ["0.1", "0.2"]
+    rows = json.loads(out)["rows"]
+    assert [row["s"] for row in rows] == ["0.1", "0.2", "0.2"]
+    assert rows[1] == rows[2]
+    _, single, _ = run_cli(capsys, "eval", "--s", "0.2")
+    assert json.loads(single)["rows"] == rows[1:2]
 
 
 def test_eval_csv_header(capsys):

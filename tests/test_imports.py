@@ -16,6 +16,12 @@ whose name is referenced anywhere counts as used: the guard can miss dead
 code but does not flag live code.  Dunder names are out of scope: the
 interpreter calls dunder methods by operator and reads `__all__` itself.
 
+The import-time guard runs `import unclosed.cli` in a fresh interpreter and
+flags any of the process-pool and serialization modules it loads:
+direct.f_direct forks its one child with os.fork and passes ints back as
+text, so none of them needs to load, and each would add to the CLI's
+start-up time.
+
 The knob guard flags a defaulted parameter of a module-level function or a
 method defined in `src/unclosed/` that no call in `src/` or `demos/` passes,
 by position or by keyword: every caller takes the default, so the parameter
@@ -26,6 +32,9 @@ dunder methods are out of scope.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -296,3 +305,26 @@ def test_detects_a_defaulted_parameter_no_caller_sets():
     ]
     # cli.main is exempt by name, as the console script calls it
     assert unset_knobs({"cli": ast.parse("def main(argv=None):\n    return argv\n")}, []) == []
+
+
+# modules that `import unclosed.cli` must not load
+NOT_AT_IMPORT = ("multiprocessing", "concurrent.futures", "pickle", "subprocess")
+
+
+def loaded_at_import(statements):
+    """The NOT_AT_IMPORT modules a fresh interpreter holds after running `statements`."""
+    script = f"import sys\n{statements}\nprint(*[m for m in {NOT_AT_IMPORT!r} if m in sys.modules])\n"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_process_pool_or_pickle_module():
+    loaded = loaded_at_import("import unclosed.cli")
+    assert not loaded, f"import unclosed.cli loads {', '.join(loaded)}"
+
+
+def test_detects_a_module_loaded_at_import():
+    assert loaded_at_import("import unclosed.cli\nimport pickle") == ["pickle"]
+    assert loaded_at_import("import concurrent.futures") == ["concurrent.futures"]

@@ -1,8 +1,11 @@
+import os
+import threading
 import warnings
 
 import mpmath as mp
 import pytest
 
+from unclosed import direct, suites
 from unclosed.qseries import (
     GUARD_DIGITS,
     ConstantTermReport,
@@ -162,6 +165,99 @@ def test_f_direct_stops_where_the_per_term_loop_stops_at_small_s():
             assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
 
 
+def count_forks(monkeypatch):
+    # the list gets one entry per os.fork call in this process
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_f_direct_stops_where_the_per_term_loop_stops_either_side_of_the_fork(monkeypatch):
+    # 0.00237 needs 402 digits and 0.0024 398: with the 20 guard digits they
+    # sit just above and just below the working precision from which the
+    # tail runs in a child, whose trailing terms this process then resolves
+    # with the exact stopping test; each at 3 digit counts from the policy's
+    forks = count_forks(monkeypatch)
+    for s, forked in (("0.00237", True), ("0.0024", False)):
+        low = required_digits(s)
+        for digits in range(low, low + 3):
+            with mp.workdps(digits + GUARD_DIGITS):
+                assert (mp.mp.prec >= direct._FORK_PREC) is forked, (s, digits)
+            before = len(forks)
+            terms = f_direct(s, digits)[1]
+            assert len(forks) - before == forked
+            assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
+
+
+@pytest.mark.parametrize("s", ["0.0005", "0.001"])
+def test_f_direct_tail_in_a_child_matches_the_tail_inline(s, monkeypatch):
+    digits = required_digits(s, 10)
+    forks = count_forks(monkeypatch)
+    in_child = f_direct(s, digits)
+    assert forks == [1]
+    assert_no_child_left()
+    monkeypatch.setattr(direct, "_FORK_PREC", 10 ** 9)
+    inline = f_direct(s, digits)
+    assert forks == [1]
+    assert in_child[1] == inline[1]
+    assert in_child[0]._mpf_ == inline[0]._mpf_
+
+
+def test_f_direct_reaps_its_child_when_the_rise_raises(monkeypatch):
+    # an interrupt, which an `except Exception` would not see
+    def rise(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(direct, "_rise", rise)
+    with pytest.raises(KeyboardInterrupt):
+        f_direct("0.001", required_digits("0.001", 10))
+    assert_no_child_left()
+
+
+def test_a_failed_tail_in_the_child_raises_here(monkeypatch):
+    def tail(*args):
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(direct, "_tail", tail)
+    with pytest.raises(RuntimeError, match="ArithmeticError: planted"):
+        f_direct("0.001", required_digits("0.001", 10))
+    assert_no_child_left()
+    # a child that ends without writing a result is an error too, not a value
+    monkeypatch.setattr(direct, "_tail", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="wait status"):
+        f_direct("0.001", required_digits("0.001", 10))
+    assert_no_child_left()
+
+
+def test_f_direct_does_not_fork_beside_other_threads(monkeypatch):
+    forks = count_forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _, terms = f_direct("0.001", required_digits("0.001", 10))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert terms == 2552
+
+
+def test_small_calls_never_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert suites.run_suite("scaling").ok
+    assert eval_report("0.05").terms_used > 0
+
+
 @pytest.mark.parametrize("s", ["0.002", "0.01", "0.1", "0.5", "5", "20"])
 def test_f_direct_tail_after_the_stop_is_below_the_tolerance(s):
     # past the peak the term ratio r_m = q^m / (1 - q^m)^2 falls, so the sum
@@ -191,8 +287,8 @@ def test_f_direct_agrees_with_a_run_at_more_digits():
 @pytest.mark.parametrize("s", ["0.0005", "0.001"])
 def test_f_direct_rounding_uses_few_guard_digits(s):
     # against the same terms summed at 100 more digits from q**k and
-    # (1 - q**k)**2, not from the c_k recurrence: measured losses are 2.0
-    # and 2.3 of the GUARD_DIGITS
+    # (1 - q**k)**2, not from the c_k recurrence: measured losses are 1.7
+    # and 2.5 of the GUARD_DIGITS
     digits = required_digits(s, 10)
     value, terms = f_direct(s, digits)
     with mp.workdps(digits + GUARD_DIGITS + 100):
