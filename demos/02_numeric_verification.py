@@ -2,7 +2,7 @@
 """Verify the exact expansion against independent high-precision numerics.
 
 Three independent routes confirm the exact coefficients:
-  1. direct summation of F(e^-s) at hundreds of digits, normalized, and
+  1. direct summation of F(e^-s) at the policy's digits, normalized, and
      compared  with the truncated expansion on a shrinking grid of s;
   2. Richardson-style extraction of b_1 and b_2 from those evaluations;
   3. the exact constant-term identity for the q-expansion of F itself.

@@ -5,7 +5,10 @@ q = exp(-s) for small s > 0, where F grows like exp(pi**2/(5 s)).  Its
 direct sum f_direct and the precision policy required_digits live in
 `direct` and are re-exported here; this module builds on them the
 normalized remainder, the comparison with the truncated expansion and the
-numeric extraction of its coefficients.  The module also hosts the exact
+numeric extraction of its coefficients.  Those two subtract the expansion
+through some order n from the remainder, so they work at
+10 + required_digits(s, n) digits: the policy's headroom for that
+cancellation, not for F's size.  The module also hosts the exact
 constant-term identity check, truncated log-Pochhammer error scaling, and
 the minor-arc bound measurement; those back the exact expansion against
 independent numerics.  The last two sum log (c; q)_inf through
@@ -80,7 +83,7 @@ class EvalReport:
 def eval_report(s, order: int = 2) -> EvalReport:
     if order < 1:
         raise ValueError("order must be >= 1")
-    digits = required_digits(s, 10)
+    digits = 10 + required_digits(s, order)
     F, terms = f_direct(s, digits)
     with mp.workdps(digits + GUARD_DIGITS):
         smp = mp.mpf(s)
@@ -120,8 +123,9 @@ def extract_coefficient(j: int, s_grid: Sequence[Union[str, float]]) -> Coeffici
 
     Subtracts the exact lower-order coefficients, divides by s**j, and
     linearly extrapolates the two smallest grid points to s = 0.  Every
-    point is evaluated at the policy's digits for the smallest s, plus 10.
-    Warns when raw per-point estimates disagree by more than 10%.
+    point is evaluated at the policy's digits for the smallest s and
+    order j, plus 10.  Warns when raw per-point estimates disagree by more
+    than 10%.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -130,7 +134,7 @@ def extract_coefficient(j: int, s_grid: Sequence[Union[str, float]]) -> Coeffici
     svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
     if any(a == b for a, b in zip(svals, svals[1:])):
         raise ValueError("grid points must be distinct")
-    digits = required_digits(svals[-1], 10)
+    digits = 10 + required_digits(svals[-1], j)
     lower: List[mp.mpf] = [mp.mpf(1)]
     if j >= 2:
         result = compute_expansion(j - 1)

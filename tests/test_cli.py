@@ -124,11 +124,11 @@ def test_eval_validates_range(capsys):
 
 def test_eval_rejects_s_below_floor(capsys):
     # every --s is checked before any evaluation; f_direct alone would run
-    # for minutes at s = 0.0001
+    # for about 1.5 s at s = 0.000001
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "eval", "--s", "0.1", "--s", "0.0001")
+    code, _, err = run_cli(capsys, "eval", "--s", "0.1", "--s", "0.000001")
     assert code == 2
-    assert "[0.0005, 5]" in err
+    assert "[1e-5, 5]" in err
     assert time.perf_counter() - start < 5
 
 

@@ -8,8 +8,11 @@ tables and the verdicts and details of every `report` suite.  The files
 under tests/reference pin `diverge` (normalized deltas, fitted rate, roots
 and cosh rows); they were written while polylog_delta still summed the two
 polylogs of its definition.  The `eval` files there pin the working digits,
-the term counts and the printed F, remainder and expansion values; they were
-written before f_direct took its working digits as a plain int.
+the term counts and the printed F, remainder and expansion values.  The
+values were written before f_direct took its working digits as a plain
+int; the digits and term counts were re-pinned when the precision policy
+went from F's size to the caller's cancellation, which changed no value,
+with each term count checked against a per-term mpmath loop.
 tests/reference/expansion-40.json is `render_expansion(compute_expansion(40))`
 as written while the series kernel still computed in Q(sqrt5); it pins every
 b_j and c_j through order 40, where no CLI reference file reaches.

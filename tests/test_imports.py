@@ -17,10 +17,9 @@ code but does not flag live code.  Dunder names are out of scope: the
 interpreter calls dunder methods by operator and reads `__all__` itself.
 
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
-flags any of the process-pool and serialization modules it loads:
-direct.f_direct forks its one child with os.fork and passes ints back as
-text, so none of them needs to load, and each would add to the CLI's
-start-up time.
+flags any of the process-pool and serialization modules it loads: the
+package runs in one process and needs none of them, and each would add to
+the CLI's start-up time.
 
 The knob guard flags a defaulted parameter of a module-level function or a
 method defined in `src/unclosed/` that no call in `src/` or `demos/` passes,
