@@ -4,7 +4,9 @@
 Three independent routes confirm the exact coefficients:
   1. direct summation of F(e^-s) at the policy's digits, normalized, and
      compared  with the truncated expansion on a shrinking grid of s;
-  2. Richardson-style extraction of b_1 and b_2 from those evaluations;
+  2. extraction of b_1 and b_2 from those evaluations: the exact lower
+     orders subtracted, divided by s**j and extrapolated linearly to s = 0
+     from the two smallest s;
   3. the exact constant-term identity for the q-expansion of F itself.
 """
 

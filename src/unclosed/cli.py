@@ -20,10 +20,8 @@ from typing import List, Optional
 import mpmath as mp
 
 from . import divergence, qseries, suites
-from .expansion import compute_expansion, render_expansion
+from .expansion import SCHEMA_VERSION, compute_expansion, render_expansion
 from .sequences import bernoulli_number, eulerian_row, polylog_delta
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +69,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         parsed.append((float(sv), s))
     parsed.sort()
     # a repeated --s string is summed once and printed once per occurrence
-    by_s = {s: qseries.eval_report(s, order=args.order) for s in dict.fromkeys(s for _, s in parsed)}
+    by_s = {s: qseries.eval_report(s, args.order) for s in dict.fromkeys(s for _, s in parsed)}
     reports = [by_s[s] for _, s in parsed]
     digits = min(args.precision, 20)
     rows = [
@@ -145,7 +143,7 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
         raise ConfigError("--max-order must lie in [6, 24]")
     if not 6 <= args.ebar_max <= 64:
         raise ConfigError("--ebar-max must lie in [6, 64]")
-    report = divergence.growth_report(max_order=args.max_order, ebar_max=args.ebar_max)
+    report = divergence.growth_report(args.max_order, args.ebar_max)
     if args.fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,

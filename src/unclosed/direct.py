@@ -28,8 +28,8 @@ class PrecisionError(ValueError):
 
 
 # rounding slack on top of f_direct's digit count, which is 10 +
-# required_digits(s, order) in eval_report and extract_coefficient and 80 in
-# the scaling suite.  f_direct's own rounding loses none of them at s from
+# required_digits(s, order) in eval_report and extract_coefficient (and so
+# in the scaling suite).  f_direct's own rounding loses none of them at s from
 # 1e-5 to 5; rounding a decimal s to the working precision moves F by up to
 # log10(2/s) of them (4.0 measured at s = 1e-5)
 GUARD_DIGITS = 20

@@ -221,7 +221,7 @@ class GrowthReport:
     cosh_rows: Tuple[CoshRow, ...]
 
 
-def growth_report(max_order: int = 12, ebar_max: int = 30) -> GrowthReport:
+def growth_report(max_order: int, ebar_max: int) -> GrowthReport:
     if ebar_max < 6:
         raise ValueError("ebar_max must be >= 6")
     raw = [normalized_polylog_delta(n) for n in range(ebar_max + 1)]

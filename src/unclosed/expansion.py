@@ -101,7 +101,7 @@ def _json_row(j: int, x: FieldElem, value: str) -> dict:
     return {"j": j, "p": str(x.p), "q": str(x.q), "exact": x.render(), "value": value}
 
 
-def render_expansion(result: ExpansionResult, fmt: str = "json", precision: int = 30) -> str:
+def render_expansion(result: ExpansionResult, fmt: str, precision: int) -> str:
     """Deterministic serialization with values at `precision` digits; "json"
     and "csv" carry the same content."""
     if precision < 1:

@@ -80,7 +80,7 @@ class EvalReport:
     rel_err: mp.mpf
 
 
-def eval_report(s, order: int = 2) -> EvalReport:
+def eval_report(s, order: int) -> EvalReport:
     if order < 1:
         raise ValueError("order must be >= 1")
     digits = 10 + required_digits(s, order)

@@ -1,16 +1,19 @@
 """Named verification suites shared by the CLI and the acceptance tests.
 
-Each suite checks one acceptance criterion (plus one extra arc-bound
-measurement) and returns a `SuiteResult` whose `details` rows are plain
-JSON-ready dictionaries.  The CLI `verify`/`report` subcommands and
-tests/test_acceptance.py both dispatch through `run_suite`, so a criterion
-passes on the command line exactly when it passes under pytest.
+`SUITES` declares each suite once, as name -> (tag, criterion, check): the
+tag is the acceptance criterion it checks (or "extra" for the arc-bound
+measurement), and check() returns (ok, details), whose rows are plain
+JSON-ready dictionaries.  `run_suite` times the check and is the one place
+that builds a `SuiteResult`.  The CLI `verify`/`report` subcommands and
+tests/test_acceptance.py both dispatch through it, so a criterion passes on
+the command line exactly when it passes under pytest.  Every comparison of
+F(e^-s) with the expansion comes from `qseries.eval_report`, at its digits.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -26,171 +29,98 @@ __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
 
 DIVERGENCE_ORDER = 12  # expansion order used by the growth/parity criteria
 
+Check = Tuple[bool, List[dict]]
 
-@dataclass
+
+@dataclass(frozen=True)
 class SuiteResult:
     name: str
     criterion: str
     ok: bool
-    details: List[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    details: List[dict]
+    elapsed: float
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"{status}  {self.name}: {self.criterion}"
 
 
-def suite_b1() -> SuiteResult:
+def suite_b1() -> Check:
     expected = FieldElem(0, Fraction(1, 40))
     b1 = compute_expansion(1).b[1]
-    return SuiteResult(
-        name="b1",
-        criterion="first-order coefficient equals sqrt5/40 exactly",
-        ok=b1 == expected,
-        details=[{"computed": b1.render(), "expected": expected.render(),
-                  "float": mp.nstr(b1.embed(30), 30)}],
-    )
+    details = [{"computed": b1.render(), "expected": expected.render(),
+                "float": mp.nstr(b1.embed(30), 30)}]
+    return b1 == expected, details
 
 
-def suite_e_table() -> SuiteResult:
+def suite_e_table() -> Check:
     expected = {0: FieldElem(0, 1), 1: FieldElem(4), 2: FieldElem(0, 8)}
     rows = []
-    ok = True
     for n, want in expected.items():
         got = polylog_delta(n)
-        match = got == want
-        ok = ok and match
-        rows.append({"n": n, "computed": got.render(), "expected": want.render(), "match": match})
-    return SuiteResult(
-        name="e-table",
-        criterion="delta values at n = 0, 1, 2 are sqrt5, 4, 8*sqrt5 exactly",
-        ok=ok,
-        details=rows,
-    )
+        rows.append({"n": n, "computed": got.render(), "expected": want.render(), "match": got == want})
+    return all(row["match"] for row in rows), rows
 
 
-def suite_moments() -> SuiteResult:
+def suite_moments() -> Check:
     # v**2 = -w'**2 for the rescaled variable w' = i*v
     four = gaussian_integrate(VPoly.monomial(4))
     six = gaussian_integrate(VPoly.monomial(6, -1))
-    ok = four == 3 and six == 15
-    return SuiteResult(
-        name="moments",
-        criterion="Gaussian moments of v**4 and v**6 are 3 and 15 exactly",
-        ok=ok,
-        details=[{"v4": str(four), "v6": str(six)}],
-    )
+    return four == 3 and six == 15, [{"v4": str(four), "v6": str(six)}]
 
 
-def suite_scaling() -> SuiteResult:
-    grid = ("0.2", "0.1", "0.05")
-    digits = 80
-    result = compute_expansion(2)
-    rows = []
-    with mp.workdps(digits + qseries.GUARD_DIGITS):
-        b1 = result.b[1].embed(60)
-        b2 = result.b[2].embed(60)
-        r2 = []
-        r3 = []
-        for s in grid:
+def suite_scaling() -> Check:
+    rows, r2, r3 = [], [], []
+    # the residuals print to 10 digits and their spreads as floats; at
+    # mpmath's default 15 digits the spreads would round twice
+    with mp.workdps(60):
+        for s in ("0.2", "0.1", "0.05"):
             smp = mp.mpf(s)
-            R = qseries.normalized_remainder(s, digits)
-            res2 = abs(R - 1 - b1 * smp) / smp ** 2
-            res3 = abs(R - 1 - b1 * smp - b2 * smp ** 2) / smp ** 3
-            r2.append(res2)
-            r3.append(res3)
-            rows.append({"s": s, "resid2_over_s2": mp.nstr(res2, 10), "resid3_over_s3": mp.nstr(res3, 10)})
+            r2.append(qseries.eval_report(s, 1).abs_err / smp ** 2)
+            r3.append(qseries.eval_report(s, 2).abs_err / smp ** 3)
+            rows.append({"s": s, "resid2_over_s2": mp.nstr(r2[-1], 10), "resid3_over_s3": mp.nstr(r3[-1], 10)})
         spread2 = float(max(r2) / min(r2))
         spread3 = float(max(r3) / min(r3))
-    # "within a factor 4 of one constant" allows max/min up to 16
-    ok = spread2 <= 16 and spread3 <= 16
     rows.append({"spread2": spread2, "spread3": spread3, "allowed": 16.0})
-    return SuiteResult(
-        name="scaling",
-        criterion="residuals scale like s**2 (and s**3 with the next coefficient)",
-        ok=ok,
-        details=rows,
-    )
+    # "within a factor 4 of one constant" allows max/min up to 16
+    return spread2 <= 16 and spread3 <= 16, rows
 
 
-def suite_constant_term() -> SuiteResult:
+def suite_constant_term() -> Check:
     report = qseries.constant_term_check(20)
-    return SuiteResult(
-        name="constant-term",
-        criterion="constant-term identity matches the direct series through q**20",
-        ok=report.ok,
-        details=[
-            {
-                "order": report.order,
-                "half_powers_cancelled": report.half_powers_cancelled,
-                "first_mismatch": report.first_mismatch,
-            }
-        ],
-    )
+    details = [{"order": report.order, "half_powers_cancelled": report.half_powers_cancelled,
+                "first_mismatch": report.first_mismatch}]
+    return report.ok, details
 
 
-def suite_logpoch() -> SuiteResult:
+def suite_logpoch() -> Check:
     report = qseries.log_poch_check("1/phi", 0.0, 2, ("0.1", "0.05"))
     ratio = report.halving_ratios[0]
-    ok = 4.0 <= ratio <= 16.0
-    return SuiteResult(
-        name="logpoch",
-        criterion="truncation error ratio across halved s lies in [4, 16] (target 8)",
-        ok=ok,
-        details=[
-            {
-                "w": report.w_label,
-                "order": report.order,
-                "errors": [mp.nstr(r.abs_err, 8) for r in report.rows],
-                "ratio": ratio,
-            }
-        ],
-    )
+    details = [{"w": report.w_label, "order": report.order,
+                "errors": [mp.nstr(r.abs_err, 8) for r in report.rows], "ratio": ratio}]
+    return 4.0 <= ratio <= 16.0, details
 
 
-def suite_ebar() -> SuiteResult:
-    err12 = abs(float(divergence.normalized_polylog_delta(12) - 1))
+def suite_ebar() -> Check:
     errors = [abs(float(divergence.normalized_polylog_delta(n) - 1)) for n in range(5, 31)]
+    err12 = errors[12 - 5]
     rate, _ = divergence.fit_geometric_rate(range(5, 31), errors)
-    ok = err12 < 1e-3 and rate < 1.0
-    return SuiteResult(
-        name="ebar",
-        criterion="scaled delta values approach 1: |err(12)| < 1e-3, fitted rate < 1",
-        ok=ok,
-        details=[{"err_at_12": err12, "fitted_rate": rate}],
-    )
+    return err12 < 1e-3 and rate < 1.0, [{"err_at_12": err12, "fitted_rate": rate}]
 
 
-def suite_divergence() -> SuiteResult:
+def suite_divergence() -> Check:
     result = compute_expansion(DIVERGENCE_ORDER)
     section = divergence.b_growth(result)
     nonzero_c = all(not x.is_zero() for x in result.c[1:])
-    ok = section.tail_increasing and nonzero_c
-    return SuiteResult(
-        name="divergence",
-        criterion="|b_j|**(1/j) strictly increases on the last 4 indices; c_2..c_12 nonzero",
-        ok=ok,
-        details=[
-            {
-                "roots": list(section.roots),
-                "tail_increasing": section.tail_increasing,
-                "all_c_nonzero": nonzero_c,
-                "ratio_cross_index": section.ratio_cross_index,
-            }
-        ],
-    )
+    details = [{"roots": list(section.roots), "tail_increasing": section.tail_increasing,
+                "all_c_nonzero": nonzero_c, "ratio_cross_index": section.ratio_cross_index}]
+    return section.tail_increasing and nonzero_c, details
 
 
-def suite_partial_exp() -> SuiteResult:
+def suite_partial_exp() -> Check:
     e10 = divergence.partial_exp_max_error(10)
     e40 = divergence.partial_exp_max_error(40)
-    ok = e40 < e10 and e40 < 1e-5
-    return SuiteResult(
-        name="partial-exp",
-        criterion="partial exponential max error on [-2,2] shrinks k=10 -> 40 and < 1e-5",
-        ok=ok,
-        details=[{"err_k10": e10, "err_k40": e40}],
-    )
+    return e40 < e10 and e40 < 1e-5, [{"err_k10": e10, "err_k40": e40}]
 
 
 def _ungraded_mean(p: VPoly, j: int, digits: int) -> mp.mpc:
@@ -215,7 +145,7 @@ def _ungraded_mean(p: VPoly, j: int, digits: int) -> mp.mpc:
         return total * mp.sqrt(5) ** j
 
 
-def suite_parity() -> SuiteResult:
+def suite_parity() -> Check:
     # the t'**24 sum cancels terms up to 8e13 down to b_12 / 5**6 ~ 5.6e-5,
     # so 80 working digits keep the 1e-50 tolerance about 13 digits clear
     digits = 80
@@ -231,65 +161,51 @@ def suite_parity() -> SuiteResult:
     with mp.workdps(digits):
         real_ok = all(abs(x.imag) < tol for x in means)
         subfield_ok = all(abs(x.real - y) < tol * (1 + abs(y)) for x, y in zip(means, exact))
-    ok = odd_ok and real_ok and subfield_ok
-    return SuiteResult(
-        name="parity",
-        criterion="odd powers integrate to exactly 0; every b_j is real and in Q(sqrt5)",
-        ok=ok,
-        details=[
-            {"odd_vanish": odd_ok, "all_real": real_ok, "all_in_sqrt5_field": subfield_ok}
-        ],
-    )
+    details = [{"odd_vanish": odd_ok, "all_real": real_ok, "all_in_sqrt5_field": subfield_ok}]
+    return odd_ok and real_ok and subfield_ok, details
 
 
-def suite_minor_arc() -> SuiteResult:
+def suite_minor_arc() -> Check:
     report = qseries.minor_arc_check()
-    ok = report.fitted_constant <= 10.0
-    return SuiteResult(
-        name="minor-arc",
-        criterion="arc quotient bounded by C * exp(main - sqrt5/(2 s**(1/3))) with C <= 10",
-        ok=ok,
-        details=[
-            {"fitted_constant": report.fitted_constant,
-             "arc_condition_used": report.arc_condition_used,
-             "arc_condition_alt": report.arc_condition_alt},
-            *[
-                {"s": r.s, "v": r.v, "margin": r.margin}
-                for r in report.rows
-            ],
-        ],
-    )
+    details = [{"fitted_constant": report.fitted_constant,
+                "arc_condition_used": report.arc_condition_used,
+                "arc_condition_alt": report.arc_condition_alt}]
+    details += [{"s": r.s, "v": r.v, "margin": r.margin} for r in report.rows]
+    return report.fitted_constant <= 10.0, details
 
 
-SUITES: Dict[str, Tuple[str, Callable[[], SuiteResult]]] = {
-    "b1": ("AC-1", suite_b1),
-    "e-table": ("AC-2", suite_e_table),
-    "moments": ("AC-3", suite_moments),
-    "scaling": ("AC-4", suite_scaling),
-    "constant-term": ("AC-5", suite_constant_term),
-    "logpoch": ("AC-6", suite_logpoch),
-    "ebar": ("AC-7", suite_ebar),
-    "divergence": ("AC-8", suite_divergence),
-    "partial-exp": ("AC-9", suite_partial_exp),
-    "parity": ("AC-10", suite_parity),
-    "minor-arc": ("extra", suite_minor_arc),
+SUITES: Dict[str, Tuple[str, str, Callable[[], Check]]] = {
+    "b1": ("AC-1", "first-order coefficient equals sqrt5/40 exactly", suite_b1),
+    "e-table": ("AC-2", "delta values at n = 0, 1, 2 are sqrt5, 4, 8*sqrt5 exactly", suite_e_table),
+    "moments": ("AC-3", "Gaussian moments of v**4 and v**6 are 3 and 15 exactly", suite_moments),
+    "scaling": ("AC-4", "residuals scale like s**2 (and s**3 with the next coefficient)",
+                suite_scaling),
+    "constant-term": ("AC-5", "constant-term identity matches the direct series through q**20",
+                      suite_constant_term),
+    "logpoch": ("AC-6", "truncation error ratio across halved s lies in [4, 16] (target 8)",
+                suite_logpoch),
+    "ebar": ("AC-7", "scaled delta values approach 1: |err(12)| < 1e-3, fitted rate < 1",
+             suite_ebar),
+    "divergence": ("AC-8", "|b_j|**(1/j) strictly increases on the last 4 indices; c_2..c_12 nonzero",
+                   suite_divergence),
+    "partial-exp": ("AC-9", "partial exponential max error on [-2,2] shrinks k=10 -> 40 and < 1e-5",
+                    suite_partial_exp),
+    "parity": ("AC-10", "odd powers integrate to exactly 0; every b_j is real and in Q(sqrt5)",
+               suite_parity),
+    "minor-arc": ("extra", "arc quotient bounded by C * exp(main - sqrt5/(2 s**(1/3))) with C <= 10",
+                  suite_minor_arc),
 }
 
 
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite: {name}; known: {', '.join(sorted(SUITES))}")
-    _, fn = SUITES[name]
+    _, criterion, check = SUITES[name]
     start = time.perf_counter()
-    result = fn()
-    result.elapsed = time.perf_counter() - start
-    return result
+    ok, details = check()
+    return SuiteResult(name, criterion, ok, details, time.perf_counter() - start)
 
 
 def run_all() -> List[Tuple[str, SuiteResult]]:
     """Run every registered suite in canonical (sorted) order."""
-    out = []
-    for name in sorted(SUITES):
-        tag, _ = SUITES[name]
-        out.append((tag, run_suite(name)))
-    return out
+    return [(SUITES[name][0], run_suite(name)) for name in sorted(SUITES)]

@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -191,15 +192,25 @@ def test_verify_missing_suite_flag(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def failing():
         time.sleep(0.02)
-        return suites.SuiteResult(name="always-fails", criterion="forced", ok=False)
+        return False, []
 
-    monkeypatch.setitem(suites.SUITES, "always-fails", ("extra", failing))
+    monkeypatch.setitem(suites.SUITES, "always-fails", ("extra", "forced", failing))
     code, out, err = run_cli(capsys, "verify", "--suite", "always-fails")
     assert code == 3
     assert json.loads(out)["ok"] is False
     # the suite's measured wall time, not a default
     line = re.fullmatch(r"FAIL  always-fails: forced  \((\d+\.\d{3}) s\)\n", err)
     assert line and float(line.group(1)) >= 0.02
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_verify_prints_the_suite_as_report_pins_it(capsys, name):
+    pinned = json.loads((REFERENCE_DIR / "report.json").read_text(encoding="utf-8"))["suites"]
+    code, out, _ = run_cli(capsys, "verify", "--suite", name)
+    assert code == 0
+    doc = json.loads(out)
+    fields = ("suite", "criterion_tag", "criterion", "ok", "details")
+    assert {k: doc[k] for k in fields} == next(row for row in pinned if row["suite"] == name)
 
 
 def test_tables(capsys):
@@ -283,6 +294,17 @@ def test_report_runs_all(capsys):
     for line, row in zip(lines, doc["suites"]):
         tag, name = re.escape(row["criterion_tag"]), re.escape(row["suite"])
         assert re.fullmatch(rf"\[{tag}\] PASS  {name}: .*  \(\d+\.\d{{3}} s\)", line), line
+
+
+def test_readme_cli_commands_run(capsys):
+    # every `unclosed ...` line of README's CLI block, comments dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) >= 6 and all(argv[0] == "unclosed" for argv in commands)
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_cli_runs_without_numpy():

@@ -214,4 +214,4 @@ def test_growth_report_shape():
     assert len(rep.b_roots) == 8
     assert rep.cosh_rows
     with pytest.raises(ValueError):
-        growth_report(ebar_max=4)
+        growth_report(12, 4)

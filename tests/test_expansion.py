@@ -17,7 +17,7 @@ def test_b0_and_b1_exact():
     r = compute_expansion(1)
     assert r.b[0] == FieldElem(1)
     assert r.b[1] == FieldElem(0, Fraction(1, 40))
-    assert json.loads(render_expansion(r))["b"][1]["value"].startswith("0.055901699437494742")
+    assert json.loads(render_expansion(r, "json", 30))["b"][1]["value"].startswith("0.055901699437494742")
 
 
 def test_low_order_values_against_sympy_oracle():
@@ -133,7 +133,7 @@ def test_determinism():
     a = compute_expansion(5)
     b = compute_expansion(5)
     assert a.b == b.b and a.c == b.c and a.growth == b.growth
-    assert render_expansion(a) == render_expansion(b)
+    assert render_expansion(a, "json", 30) == render_expansion(b, "json", 30)
 
 
 def test_growth_statistics():
@@ -146,11 +146,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         compute_expansion(0)
     with pytest.raises(ValueError):
-        render_expansion(compute_expansion(3), precision=0)
+        render_expansion(compute_expansion(3), "json", 0)
     with pytest.raises(ValueError):
         assembled_series(0)
     with pytest.raises(ValueError):
-        render_expansion(compute_expansion(1), fmt="xml")
+        render_expansion(compute_expansion(1), "xml", 30)
 
 
 def test_render_order_one_row_counts():
@@ -225,10 +225,10 @@ def test_smaller_order_after_larger_reuses_cache(monkeypatch):
     monkeypatch.setattr(expansion, "exponent_series", counting)
     compute_expansion(24)
     assert len(calls) == 1
-    warm = render_expansion(compute_expansion(12))
+    warm = render_expansion(compute_expansion(12), "json", 30)
     assert len(calls) == 1
     expansion._prefix = None
-    assert render_expansion(compute_expansion(12)) == warm
+    assert render_expansion(compute_expansion(12), "json", 30) == warm
     assert len(calls) == 2
 
 

@@ -13,9 +13,10 @@ values were written before f_direct took its working digits as a plain
 int; the digits and term counts were re-pinned when the precision policy
 went from F's size to the caller's cancellation, which changed no value,
 with each term count checked against a per-term mpmath loop.
-tests/reference/expansion-40.json is `render_expansion(compute_expansion(40))`
-as written while the series kernel still computed in Q(sqrt5); it pins every
-b_j and c_j through order 40, where no CLI reference file reaches.
+tests/reference/expansion-40.json is
+`render_expansion(compute_expansion(40), "json", 30)` as written while the
+series kernel still computed in Q(sqrt5); it pins every b_j and c_j through
+order 40, where no CLI reference file reaches.
 These tests only read the files.
 """
 
@@ -49,7 +50,7 @@ def test_cli_output_matches_reference(capsys, argv, name):
 
 
 def test_expansion_40_matches_reference():
-    text = expansion.render_expansion(expansion.compute_expansion(40))
+    text = expansion.render_expansion(expansion.compute_expansion(40), "json", 30)
     assert text == (TESTS_REFERENCE_DIR / "expansion-40.json").read_text(encoding="utf-8")
 
 

@@ -1,11 +1,10 @@
 import json
-import os
 import warnings
 
 import mpmath as mp
 import pytest
 
-from unclosed import cli, direct, qseries, suites
+from unclosed import cli, direct, qseries
 from unclosed.qseries import (
     GUARD_DIGITS,
     ConstantTermReport,
@@ -191,41 +190,15 @@ def test_f_direct_stops_where_the_per_term_loop_stops():
 
 def test_f_direct_stops_where_the_per_term_loop_stops_at_small_s():
     # 4 log-spaced s in [0.0012, 0.002], inside the small-s range that
-    # perfbench's numeric-small-s workload evaluates, each at 5 digit counts
-    # from the policy's up
-    for k in range(4):
-        s = mp.nstr(mp.mpf("0.0012") * (mp.mpf(5) / 3) ** (mp.mpf(k) / 3), 12)
+    # perfbench's numeric-small-s workload evaluates, and 0.00237 and 0.0024,
+    # either side of a working precision where the sum once changed method,
+    # each at 5 digit counts from the policy's up
+    spaced = [mp.nstr(mp.mpf("0.0012") * (mp.mpf(5) / 3) ** (mp.mpf(k) / 3), 12) for k in range(4)]
+    for s in spaced + ["0.00237", "0.0024"]:
         low = required_digits(s)
         for digits in range(low, low + 5):
             terms = f_direct(s, digits)[1]
             assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
-
-
-def test_f_direct_stops_where_the_per_term_loop_stops_either_side_of_the_fork(monkeypatch):
-    # 0.00237 needs 402 digits and 0.0024 398: with the 20 guard digits they
-    # sit just above and just below the working precision from which the
-    # tail used to run in a forked child; the one tail loop must stop as the
-    # per-term loop does on both sides, without forking, each at 3 digit
-    # counts from the policy's up
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-    for s in ("0.00237", "0.0024"):
-        low = required_digits(s)
-        for digits in range(low, low + 3):
-            terms = f_direct(s, digits)[1]
-            assert terms == f_direct_by_terms(s, digits)[1], (s, digits)
-
-
-def test_small_calls_never_fork(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", fork)
-    assert suites.run_suite("scaling").ok
-    assert eval_report("0.05").terms_used > 0
-    assert eval_report("0.0005").terms_used > 0
 
 
 @pytest.mark.parametrize("s", ["0.002", "0.01", "0.1", "0.5", "5", "20"])
@@ -246,7 +219,7 @@ def test_f_direct_tail_after_the_stop_is_below_the_tolerance(s):
 def test_f_direct_agrees_with_a_run_at_more_digits():
     # the policy's digits at s = 0.001 against the per-term loop at 40 more,
     # which shares no code with f_direct
-    rep = eval_report("0.001")
+    rep = eval_report("0.001", 2)
     assert rep.digits == 59
     assert rep.terms_used == 1327
     wide, _ = f_direct_by_terms("0.001", 99)
