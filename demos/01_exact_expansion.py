@@ -19,10 +19,12 @@ from unclosed.series import exponent_series
 J = 8
 
 print("=== the exponent series, leading terms ===")
+# entry m of the tuple is the t'^m coefficient; only the t'^0 entry is zero.
 # the damping -sqrt5/24 * s = -t'^2/24 sits in the t'^2 line, as its w'^0 term
 ser = exponent_series(4)
-for m in ser.powers():
-    print(f"  t'^{m}: {ser.coeff(m)!r}")
+for m, p in enumerate(ser):
+    if not p.is_zero():
+        print(f"  t'^{m}: {p!r}")
 print()
 
 print(f"=== exact coefficients through order {J} ===")

@@ -4,8 +4,9 @@ Subcommands: coeffs, eval, verify, diverge, report, tables.  All output is
 deterministic for a fixed configuration: JSON documents carry a
 schema_version field and CSV uses '.' decimals, UTF-8 and LF endings.
 Exit codes: 0 success, 2 configuration error, 3 suite failure.
-Handlers read the parsed argparse namespace directly; every default and
-choice lives in `build_parser`, and each subcommand takes only the flags
+Each subparser names its handler as its `handler` default, which `main`
+calls.  Handlers read the parsed argparse namespace directly; every default
+and choice lives in `build_parser`, and each subcommand takes only the flags
 its handler reads: --precision for coeffs, eval and tables; --format for
 coeffs, eval, diverge and tables; --out for all.
 """
@@ -221,43 +222,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("coeffs", help="exact expansion coefficients")
+    p.set_defaults(handler=_cmd_coeffs)
     p.add_argument("--max-order", type=int, default=12)
     flags(p, precision=True, fmt=True)
 
     p = sub.add_parser("eval", help="high-precision evaluation vs. the expansion")
+    p.set_defaults(handler=_cmd_eval)
     p.add_argument("--s", action="append", dest="s_values", metavar="S",
                    help=f"evaluation point, repeatable; {S_MIN} <= s <= 5; time grows like 1/s")
     p.add_argument("--order", type=int, default=2, help="expansion order for comparison")
     flags(p, precision=True, fmt=True)
 
     p = sub.add_parser("verify", help="run one named verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
     flags(p)
 
     p = sub.add_parser("diverge", help="divergence diagnostics")
+    p.set_defaults(handler=_cmd_diverge)
     p.add_argument("--max-order", type=int, default=12)
     p.add_argument("--ebar-max", type=int, default=30)
     flags(p, fmt=True)
 
     p = sub.add_parser("report", help="run all suites and summarize")
+    p.set_defaults(handler=_cmd_report)
     flags(p)
 
     p = sub.add_parser("tables", help="dump the exact sequence tables")
+    p.set_defaults(handler=_cmd_tables)
     p.add_argument("--kind", choices=("all", "delta", "bernoulli", "eulerian"), default="all")
-    p.add_argument("--max-n", type=int, default=16)
+    p.add_argument("--max-n", type=int, default=16,
+                   help="last n of the tables, 0..64; the Eulerian rows stop at n = 24")
     flags(p, precision=True, fmt=True)
 
     return parser
-
-
-_HANDLERS = {
-    "coeffs": _cmd_coeffs,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "diverge": _cmd_diverge,
-    "report": _cmd_report,
-    "tables": _cmd_tables,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -265,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if "precision" in args and not 1 <= args.precision <= 1000:
             raise ConfigError("--precision must lie in [1, 1000]")
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

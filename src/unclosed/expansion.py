@@ -26,7 +26,9 @@ from typing import Optional, Tuple
 import mpmath as mp
 
 from .field import FieldElem
-from .series import PuiseuxSeries, exponent_series, gaussian_integrate, log_coefficients, to_field
+from .series import (
+    VPoly, exp_series, exponent_series, gaussian_integrate, log_coefficients, to_field,
+)
 
 __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assembled_series"]
 
@@ -44,7 +46,7 @@ class ExpansionResult:
 
 
 # the largest order built so far, with its assembled series
-_prefix: Optional[Tuple[PuiseuxSeries, ExpansionResult]] = None
+_prefix: Optional[Tuple[Tuple[VPoly, ...], ExpansionResult]] = None
 
 
 def _build(max_order: int):
@@ -53,17 +55,12 @@ def _build(max_order: int):
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if _prefix is None or _prefix[1].max_order < max_order:
-        trunc = 2 * max_order
-        total = exponent_series(trunc).exp()
+        total = exp_series(exponent_series(2 * max_order))
+        for m in range(1, len(total), 2):
+            if gaussian_integrate(total[m]):
+                raise ArithmeticError(f"odd power t^{m} integrated to a nonzero value")
         # means of t'**(2j) and their formal log, both over Q, then back to s**j
-        b = []
-        for m in range(trunc + 1):
-            val = gaussian_integrate(total.coeff(m))
-            if m % 2:
-                if val:
-                    raise ArithmeticError(f"odd power t^{m} integrated to a nonzero value")
-                continue
-            b.append(val)
+        b = [gaussian_integrate(p) for p in total[::2]]
         c = [to_field(x, j) for j, x in enumerate(log_coefficients(b), 1)]
         b = [to_field(x, j) for j, x in enumerate(b)]
         # fixed working digits: the roots never depend on an output setting
@@ -75,15 +72,13 @@ def _build(max_order: int):
     return _prefix
 
 
-def assembled_series(max_order: int) -> PuiseuxSeries:
+def assembled_series(max_order: int) -> Tuple[VPoly, ...]:
     """exp(exponent series), damping included, truncated at t'**(2*max_order).
 
-    A series in the rescaled t' = 5**(1/4) * sqrt(s) with rational
-    coefficients polynomial in w' = i*v, as `unclosed.series` defines them.
+    Entry m of the tuple is the t'**m coefficient, t' = 5**(1/4) * sqrt(s),
+    a rational polynomial in w' = i*v, as `unclosed.series` defines them.
     """
-    total = _build(max_order)[0]
-    trunc = 2 * max_order
-    return PuiseuxSeries(trunc, {m: p for m, p in total.terms.items() if m <= trunc})
+    return _build(max_order)[0][: 2 * max_order + 1]
 
 
 def compute_expansion(max_order: int) -> ExpansionResult:

@@ -23,14 +23,16 @@ values b_j = b'_j * sqrt5**j and c_j = c'_j * sqrt5**j of s**j.
 over one positive denominator d: the w'**j coefficient is P[j] / d.  The
 denominator is reduced by one gcd pass per polynomial, never per
 coefficient operation, so products are plain int multiply-adds.
-`PuiseuxSeries` maps integer powers of t' to VPoly values up to a fixed
-truncation order; its exp never reads past the truncation.
+A series in t' truncated at t'**T is a tuple of T + 1 VPoly values, entry m
+the t'**m coefficient.  Dense storage wastes nothing here: the exponent is
+zero only at t'**0, and its exponential nowhere.
 `exponent_series` assembles the exponent, damping included: each
 degree-(k+1) shifted Bernoulli polynomial enters at base power t'**(2k),
-and its w'**j monomial is pushed down to t'**(2k-j).  `log_coefficients` is
-the formal log of a scalar series in s' = t'**2.  exp and log put each step
-of their coefficient recurrence over one common denominator and reduce once
-per step.
+and its w'**j monomial is pushed down to t'**(2k-j).  `exp_series` is its
+formal exponential, which never reads past the truncation, and
+`log_coefficients` the formal log of a scalar series in s' = t'**2.  Both
+put each step of their coefficient recurrence over one common denominator
+and reduce once per step.
 
 Everything here is exact; zero coefficients are detected by exact equality.
 """
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .field import FieldElem
 from .sequences import bernoulli_half, polylog_delta
 
 __all__ = [
-    "VPoly", "PuiseuxSeries", "gaussian_integrate", "exponent_series", "log_coefficients",
+    "VPoly", "exp_series", "gaussian_integrate", "exponent_series", "log_coefficients",
     "to_field",
 ]
 
@@ -107,10 +109,6 @@ class VPoly:
         raise AttributeError("VPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "VPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "VPoly":
         return cls((1,))
 
@@ -142,57 +140,21 @@ class VPoly:
         return "VPoly(" + " + ".join(parts) + ")"
 
 
-class PuiseuxSeries:
-    """Map from powers of t' = 5**(1/4) * sqrt(s) to VPoly coefficients, truncated."""
+def exp_series(a: Sequence[VPoly]) -> Tuple[VPoly, ...]:
+    """Formal exponential of a truncated t'-series with no t'**0 term.
 
-    __slots__ = ("trunc_order", "terms")
-
-    def __init__(self, trunc_order: int, terms: Mapping[int, VPoly]):
-        if trunc_order < 0:
-            raise ValueError("trunc_order must be >= 0")
-        clean: Dict[int, VPoly] = {}
-        for m, p in terms.items():
-            if m < 0:
-                raise ValueError("negative powers of t are not representable")
-            if m > trunc_order:
-                raise ValueError(f"power t^{m} exceeds truncation order {trunc_order}")
-            if not p.is_zero():
-                clean[m] = p
-        object.__setattr__(self, "trunc_order", trunc_order)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("PuiseuxSeries is immutable")
-
-    def coeff(self, m: int) -> VPoly:
-        return self.terms.get(m, VPoly.zero())
-
-    def powers(self):
-        return sorted(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        return self.trunc_order == other.trunc_order and self.terms == other.terms
-
-    def exp(self) -> "PuiseuxSeries":
-        """Formal exponential; requires strictly positive valuation.
-
-        Computed through the coefficient recurrence m*E_m = sum_r r*a_r*E_{m-r},
-        which agrees with summing a**m/m! at any truncation and stays exact.
-        Each step is summed over one common denominator and reduced once.
-        """
-        if not self.coeff(0).is_zero():
-            raise ValueError("exp needs a series with no t^0 term")
-        out: Dict[int, VPoly] = {0: VPoly.one()}
-        for m in range(1, self.trunc_order + 1):
-            terms = [(r, a, out[m - r]) for r, a in self.terms.items() if m - r in out]
-            if terms:
-                P, D = _weighted_sum(terms)
-                em = VPoly._from_ints(P, m * D)
-                if not em.is_zero():
-                    out[m] = em
-        return PuiseuxSeries(self.trunc_order, out)
+    a[m] is the t'**m coefficient, and the result has the same length.
+    Computed through the coefficient recurrence m*E_m = sum_r r*a_r*E_{m-r},
+    which agrees with summing a**m/m! at any truncation and stays exact.
+    Each step is summed over one common denominator and reduced once.
+    """
+    if not a[0].is_zero():
+        raise ValueError("exp needs a series with no t^0 term")
+    out = [VPoly.one()]
+    for m in range(1, len(a)):
+        P, D = _weighted_sum([(r, a[r], out[m - r]) for r in range(1, m + 1)])
+        out.append(VPoly._from_ints(P, m * D))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------
@@ -224,23 +186,26 @@ def _rescaled_delta(k: int) -> Fraction:
     return keep / 5 ** (k // 2)
 
 
-def exponent_series(trunc_order: int) -> PuiseuxSeries:
+def exponent_series(trunc_order: int) -> Tuple[VPoly, ...]:
     """Exponent series in t' after the Gaussian substitution, truncated at t'**trunc_order.
 
-    Summand k contributes, for each monomial w'**j of the degree-(k+1)
-    Bernoulli polynomial shifted to 1/2,
+    Entry m of the returned tuple is the t'**m coefficient.  Summand k
+    contributes, for each monomial w'**j of the degree-(k+1) Bernoulli
+    polynomial shifted to 1/2,
 
         polylog_delta(k-1)/sqrt5**k/(k+1)! * C(k+1, j) * B_{k+1-j}(1/2) * w'**j * t'**(2k-j),
 
     a rational coefficient.  Its lowest power is t'**(k-1), so summands
     2..trunc_order+1 give every power through the truncation.  The damping
     -sqrt(5)/24 * s = -1/24 * t'**2, carried inside the same exponential,
-    fills the t'**2, w'**0 slot.  The result has strictly positive valuation
-    and can be fed to `PuiseuxSeries.exp`.
+    fills the t'**2, w'**0 slot.  Entry 0 is zero, so the result can be fed
+    to `exp_series`.
     """
-    rows: Dict[int, Dict[int, Fraction]] = {}
+    if trunc_order < 0:
+        raise ValueError("trunc_order must be >= 0")
+    rows: List[Dict[int, Fraction]] = [{} for _ in range(trunc_order + 1)]
     if trunc_order >= 2:
-        rows[2] = {0: Fraction(-1, 24)}
+        rows[2][0] = Fraction(-1, 24)
     for k in range(2, trunc_order + 2):
         ck = _rescaled_delta(k) / factorial(k + 1)
         for j in range(k + 2):
@@ -249,10 +214,8 @@ def exponent_series(trunc_order: int) -> PuiseuxSeries:
                 continue
             bh = comb(k + 1, j) * bernoulli_half(k + 1 - j)
             if bh:
-                row = rows.setdefault(m, {})
-                row[j] = row.get(j, 0) + ck * bh
-    terms = {m: VPoly([row.get(j, 0) for j in range(max(row) + 1)]) for m, row in rows.items()}
-    return PuiseuxSeries(trunc_order, terms)
+                rows[m][j] = rows[m].get(j, 0) + ck * bh
+    return tuple(VPoly([row.get(j, 0) for j in range(max(row, default=-1) + 1)]) for row in rows)
 
 
 def to_field(x: Fraction, j: int) -> FieldElem:

@@ -16,6 +16,11 @@ whose name is referenced anywhere counts as used: the guard can miss dead
 code but does not flag live code.  Dunder names are out of scope: the
 interpreter calls dunder methods by operator and reads `__all__` itself.
 
+The export guard runs `from unclosed.X import *` for each package module,
+which fails when `__all__` lists a name the module does not bind.  The
+unused-import and dead-code guards read `__all__` without importing, so a
+stale entry would pass them.
+
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
 flags any of the process-pool and serialization modules it loads: the
 package runs in one process and needs none of them, and each would add to
@@ -34,6 +39,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -267,6 +273,31 @@ def test_detects_an_unreferenced_module_constant():
     assert unreferenced({"m": planted}, []) == [
         "m.ZERO", "m.TWO", "m.A", "m.B", "m.below"
     ]
+
+
+def star_import_error(module_name):
+    """The AttributeError that `from module_name import *` raises, or None."""
+    try:
+        exec(f"from {module_name} import *", {})
+    except AttributeError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    name = "unclosed" if path.stem == "__init__" else f"unclosed.{path.stem}"
+    error = star_import_error(name)
+    assert error is None, f"from {name} import * fails: {error}"
+
+
+def test_detects_a_stale_all_entry(monkeypatch):
+    planted = types.ModuleType("planted")
+    exec("__all__ = ['kept', 'gone']\nkept = 1\n", planted.__dict__)
+    monkeypatch.setitem(sys.modules, "planted", planted)
+    assert "gone" in str(star_import_error("planted"))
+    planted.gone = 2
+    assert star_import_error("planted") is None
 
 
 def test_no_defaulted_parameter_that_no_caller_sets():

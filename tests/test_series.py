@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from unclosed.sequences import polylog_delta
 from unclosed.series import (
-    PuiseuxSeries,
     VPoly,
     _weighted_sum,
+    exp_series,
     exponent_series,
     gaussian_integrate,
     log_coefficients,
 )
+
+
+ZERO = VPoly([])
 
 
 def random_vpoly(rng, max_deg=3):
@@ -24,11 +27,11 @@ def random_vpoly(rng, max_deg=3):
 
 
 def random_series(rng, trunc=6, from_power=0):
-    terms = {}
-    for m in range(from_power, trunc + 1):
-        if rng.random() < 0.6:
-            terms[m] = random_vpoly(rng)
-    return PuiseuxSeries(trunc, terms)
+    # a tuple of trunc + 1 VPoly, entry m the t'**m coefficient
+    return tuple(
+        random_vpoly(rng) if m >= from_power and rng.random() < 0.6 else ZERO
+        for m in range(trunc + 1)
+    )
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -38,7 +41,7 @@ coeff_lists = st.lists(rationals, max_size=5)
 @st.composite
 def positive_valuation_series(draw, trunc=6):
     terms = draw(st.dictionaries(st.integers(1, trunc), coeff_lists.map(VPoly), max_size=4))
-    return PuiseuxSeries(trunc, terms)
+    return tuple(terms.get(m, ZERO) for m in range(trunc + 1))
 
 
 def coeff_list(p, n):
@@ -68,37 +71,32 @@ def add(p, q):
 
 
 def series_sum(x, y):
-    return PuiseuxSeries(
-        x.trunc_order, {m: add(x.coeff(m), y.coeff(m)) for m in set(x.terms) | set(y.terms)}
-    )
+    return tuple(add(p, q) for p, q in zip(x, y))
 
 
 def series_product(x, y):
     # truncated Cauchy product through naive_product, sharing no code with the kernel
-    out = {}
-    for m1, p1 in x.terms.items():
-        for m2, p2 in y.terms.items():
-            if m1 + m2 <= x.trunc_order:
-                prod = VPoly(naive_product(p1.coeffs, p2.coeffs))
-                out[m1 + m2] = add(out.get(m1 + m2, VPoly.zero()), prod)
-    return PuiseuxSeries(x.trunc_order, out)
+    out = [ZERO] * len(x)
+    for m1, p1 in enumerate(x):
+        for m2, p2 in enumerate(y[: len(x) - m1]):
+            out[m1 + m2] = add(out[m1 + m2], VPoly(naive_product(p1.coeffs, p2.coeffs)))
+    return tuple(out)
 
 
 def one_series(trunc):
-    return PuiseuxSeries(trunc, {0: VPoly.one()})
+    return (VPoly.one(),) + (ZERO,) * trunc
 
 
 def power_sum_exp(a):
     # truncated sum_n a**n / n! through series_product, sharing no code with
     # the exp recurrence; a**n vanishes past the truncation once n > trunc
-    total, power = one_series(a.trunc_order), one_series(a.trunc_order)
-    for n in range(1, a.trunc_order + 1):
+    total = power = one_series(len(a) - 1)
+    for n in range(1, len(a)):
         power = series_product(power, a)
-        if not power.terms:
+        if all(p.is_zero() for p in power):
             break
-        scaled = {m: VPoly([c * Fraction(1, factorial(n)) for c in p.coeffs])
-                  for m, p in power.terms.items()}
-        total = series_sum(total, PuiseuxSeries(a.trunc_order, scaled))
+        scaled = tuple(VPoly([c * Fraction(1, factorial(n)) for c in p.coeffs]) for p in power)
+        total = series_sum(total, scaled)
     return total
 
 
@@ -145,46 +143,35 @@ def test_vpoly_integer_kernel_matches_field_arithmetic(x, y, k):
 
 
 # ----------------------------------------------------------------------
-# PuiseuxSeries arithmetic
-# ----------------------------------------------------------------------
-
-
-def test_series_rejects_bad_powers():
-    with pytest.raises(ValueError):
-        PuiseuxSeries(2, {3: VPoly.one()})
-    with pytest.raises(ValueError):
-        PuiseuxSeries(2, {-1: VPoly.one()})
-
-
-# ----------------------------------------------------------------------
 # exp
 # ----------------------------------------------------------------------
 
 
 def test_exp_examples():
-    assert PuiseuxSeries(4, {}).exp() == one_series(4)
-    tv = PuiseuxSeries(2, {1: VPoly.monomial(1)})
-    e = tv.exp()
-    assert e.coeff(0) == VPoly.one()
-    assert e.coeff(1) == VPoly.monomial(1)
-    assert e.coeff(2) == VPoly.monomial(2, Fraction(1, 2))
+    assert exp_series((ZERO,) * 5) == one_series(4)
+    assert exp_series((ZERO,)) == (VPoly.one(),)
+    tv = (ZERO, VPoly.monomial(1), ZERO)
+    assert exp_series(tv) == (VPoly.one(), VPoly.monomial(1), VPoly.monomial(2, Fraction(1, 2)))
 
 
 def test_exp_requires_positive_valuation():
     with pytest.raises(ValueError):
-        one_series(3).exp()
+        exp_series(one_series(3))
 
 
 def scalar_series(trunc, coeffs):
     # sum_j coeffs[j-1] s'**j as a series in t' = sqrt(s')
-    return PuiseuxSeries(trunc, {2 * j: VPoly([c]) for j, c in enumerate(coeffs, 1)})
+    ser = [ZERO] * (trunc + 1)
+    for j, c in enumerate(coeffs, 1):
+        ser[2 * j] = VPoly([c])
+    return tuple(ser)
 
 
 def log_round_trip(c):
     # exp through the power sum, then back through log_coefficients
     e = power_sum_exp(scalar_series(2 * len(c), c))
-    b = [e.coeff(2 * j).coeff(0) for j in range(len(c) + 1)]
-    assert all(degree(e.coeff(m)) <= 0 for m in e.powers())
+    b = [p.coeff(0) for p in e[::2]]
+    assert all(degree(p) <= 0 for p in e)
     return log_coefficients(b)
 
 
@@ -196,25 +183,23 @@ def test_log_examples():
     b1 = Fraction(1, 40)
     assert log_coefficients([1, b1, 0, 0]) == [b1, -b1 * b1 / 2, b1 * b1 * b1 / 3]
     # exp(b1 t^2) = 1 + b1 t^2 + b1**2/2 t^4 + b1**3/6 t^6, against the power sum
-    e = scalar_series(6, [b1]).exp()
+    e = exp_series(scalar_series(6, [b1]))
     assert e == power_sum_exp(scalar_series(6, [b1]))
-    assert [e.coeff(m) for m in e.powers()] == [
-        VPoly([1]), VPoly([b1]), VPoly([b1 * b1 / 2]), VPoly([b1 * b1 * b1 / 6]),
-    ]
+    assert e == tuple(VPoly([x]) for x in (1, 0, b1, 0, b1 * b1 / 2, 0, b1 * b1 * b1 / 6))
 
 
 def test_exp_log_round_trip_random():
     rng = random.Random(4)
     for _ in range(8):
         x = random_series(rng, trunc=8, from_power=1)
-        assert x.exp() == power_sum_exp(x)
+        assert exp_series(x) == power_sum_exp(x)
         c = [random_vpoly(rng, max_deg=0).coeff(0) for _ in range(4)]
         assert log_round_trip(c) == c
 
 
 @given(positive_valuation_series(), st.lists(rationals, min_size=1, max_size=4))
 def test_log_exp_round_trip_property(a, c):
-    assert a.exp() == power_sum_exp(a)
+    assert exp_series(a) == power_sum_exp(a)
     assert log_round_trip(c) == c
 
 
@@ -223,7 +208,7 @@ def test_exp_is_multiplicative():
     for _ in range(5):
         a = random_series(rng, trunc=6, from_power=1)
         b = random_series(rng, trunc=6, from_power=1)
-        assert series_sum(a, b).exp() == series_product(a.exp(), b.exp())
+        assert exp_series(series_sum(a, b)) == series_product(exp_series(a), exp_series(b))
 
 
 # ----------------------------------------------------------------------
@@ -273,14 +258,15 @@ def test_gaussian_moments_table():
 
 def test_exponent_series_leading_terms():
     ser = exponent_series(2)
+    assert len(ser) == 3 and ser[0].is_zero()
     # t'^1 coefficient: (2/15) w'^3, from delta(1)/5 = 4/5 over 3!
-    t1 = ser.coeff(1)
+    t1 = ser[1]
     assert degree(t1) == 3
     assert t1.coeff(3) == Fraction(2, 15)
     assert t1.coeff(0) == t1.coeff(1) == t1.coeff(2) == 0
     # t'^2 coefficient: (1/15) w'^4, from delta(2)/5**(3/2) = 8/5 over 4!,
     # and the damping -1/24
-    t2 = ser.coeff(2)
+    t2 = ser[2]
     assert degree(t2) == 4
     assert t2.coeff(4) == Fraction(1, 15)
     assert t2.coeff(0) == Fraction(-1, 24)
@@ -288,15 +274,15 @@ def test_exponent_series_leading_terms():
 
 
 def test_exponent_series_trunc_zero_is_empty():
-    assert exponent_series(0) == PuiseuxSeries(0, {})
+    assert exponent_series(0) == (ZERO,)
     with pytest.raises(ValueError):
         exponent_series(-1)
 
 
 def test_exponent_series_exp_second_order():
     # t'^2 coefficient of the exponential: -1/24 + (1/15) w'^4 + (2/15)**2/2 w'^6
-    ser = exponent_series(4).exp()
-    t2 = ser.coeff(2)
+    ser = exp_series(exponent_series(4))
+    t2 = ser[2]
     assert t2.coeff(4) == Fraction(1, 15)
     assert t2.coeff(6) == Fraction(2, 225)
     assert t2.coeff(0) == Fraction(-1, 24)
@@ -317,8 +303,8 @@ def test_exponent_series_matches_direct_numeric_sum():
         w = mp.mpc(0, 1) * v
         assembled = mp.fsum(
             mp.mpf(c.numerator) / c.denominator * w ** j * tr ** m
-            for m in ser.powers()
-            for j, c in enumerate(ser.coeff(m).coeffs)
+            for m, p in enumerate(ser)
+            for j, c in enumerate(p.coeffs)
             if m + j <= 2 * N
         )
         direct = -mp.sqrt(5) / 24 * s
@@ -340,8 +326,7 @@ def test_exponent_series_matches_direct_numeric_sum():
 def test_exponent_series_parity_and_degree_bound():
     trunc = 10
     ser = exponent_series(trunc)
-    for m in ser.powers():
-        p = ser.terms[m]
+    for m, p in enumerate(ser):
         assert degree(p) <= 3 * m
         for j, c in enumerate(p.coeffs):
             if (j - m) % 2:  # v-degree and t-power always share parity
@@ -349,5 +334,17 @@ def test_exponent_series_parity_and_degree_bound():
 
 
 def test_damping_term():
-    assert exponent_series(4).coeff(2).coeff(0) == Fraction(-1, 24)
-    assert 2 not in exponent_series(1).powers()
+    assert exponent_series(4)[2].coeff(0) == Fraction(-1, 24)
+    assert len(exponent_series(1)) == 2  # no t'**2 entry to carry the damping
+
+
+@pytest.mark.parametrize("T", [1, 2, 8, 24, 48])
+def test_exponent_series_is_dense(T):
+    # the tuple stores every power: the exponent is zero only at t'**0, and its
+    # exponential, which starts at 1, has no zero entry at all
+    ser = exponent_series(T)
+    assert len(ser) == T + 1
+    assert [m for m, p in enumerate(ser) if p.is_zero()] == [0]
+    total = exp_series(ser)
+    assert len(total) == T + 1
+    assert not any(p.is_zero() for p in total)
