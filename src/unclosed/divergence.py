@@ -7,6 +7,8 @@ Three mechanisms are measured:
 * the partial exponential sums with zeta-normalized Bernoulli weights,
   which converge to exp(z) uniformly on compact sets, so the exponent
   series behaves like a factorially-weighted cosh at its truncation edge;
+  their largest error on a grid of [-2, 2] is summed exactly on Python
+  ints from the 40-digit weights and rounded once;
 * the roots |b_j|**(1/j) of the expansion coefficients, which keep
   increasing instead of stabilizing.
 
@@ -29,7 +31,6 @@ __all__ = [
     "normalized_polylog_delta",
     "fit_geometric_rate",
     "bernoulli_weight",
-    "partial_exp",
     "partial_exp_max_error",
     "exponent_sum",
     "CoshRow",
@@ -64,10 +65,11 @@ def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[floa
 # ----------------------------------------------------------------------
 
 _weight_cache: List[mp.mpf] = []
+_PARTIAL_EXP_BITS = 24  # guard bits below the 40-digit working precision
 
 
 def bernoulli_weight(m: int) -> mp.mpf:
-    """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m), at 30 digits.
+    """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m), at 40 digits.
 
     At even m >= 2 this equals B_m(1/2) * (2 pi)**m / (2 * m! * cos(pi m / 2));
     at odd m both that numerator and denominator vanish, and eta(m) =
@@ -80,32 +82,50 @@ def bernoulli_weight(m: int) -> mp.mpf:
         return mp.altzeta(m)
 
 
-def partial_exp(k: int, z) -> mp.mpf:
-    """sum_{j=0}^{k+1} weight(k+1-j) * z**j / j! at 30 digits; -> exp(z) as k grows."""
+def partial_exp_max_error(k: int) -> float:
+    """max over z in [-2, 2] of |sum_{j=0}^{k+1} eta(k+1-j) z**j / j! - exp(z)|.
+
+    The partial exponential with weights eta = `bernoulli_weight` tends to
+    exp(z) as k grows.  The maximum is taken on the 41 grid points z_i =
+    (i - 20) / 10, and the sum multiplies by these exact rationals.  It
+    runs on Python ints at scale 10**n n! 2**W, with n = k + 1 and W = prec
+    + _PARTIAL_EXP_BITS for the 40-digit working precision of prec bits.
+    Its coefficients a_j = floor(eta(n - j) 2**W) (n! / j!) 10**(n - j) are
+    built once per call, and Horner's rule t = t (i - 20) + a_j gives the
+    scaled partial exponential at z_i.  exp(z_i) is mp.exp of z_i rounded
+    to 40 digits, floored to 2**-W.  The result is the largest |t - 10**n
+    n! 2**W exp(z_i)|, divided once by 10**n n! 2**W and correctly rounded.
+
+    Nothing is rounded before that division.  The Horner sum multiplies and
+    adds ints only, and every floor is exact: the eta values lie in [1/2, 1]
+    and exp(z_i) in [e**-2, e**2], so the lowest of their prec mantissa
+    bits is worth at least 2**-(prec + 2), and the 24 guard bits reach
+    below it.  Against the same eta and exp values floored to 2**-(W +
+    200), every grid difference is the same rational for each k from 0 to
+    60.  So the result is the exact maximum for the 40-digit eta and exp
+    values, rounded once to a float, and it equals the former per-point
+    mpf loop's float for each of those k.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
+    n = k + 1
     with mp.workdps(40):
-        zv = mp.mpmathify(z)
-        while len(_weight_cache) <= k + 1:
+        W = mp.mp.prec + _PARTIAL_EXP_BITS
+        while len(_weight_cache) <= n:
             _weight_cache.append(bernoulli_weight(len(_weight_cache)))
-        total = zv * 0
-        term = mp.mpf(1)  # z**j / j!
-        for j in range(k + 2):
-            total += _weight_cache[k + 1 - j] * term
-            term = term * zv / (j + 1)
-        return total
-
-
-def partial_exp_max_error(k: int) -> float:
-    """max over z in [-2, 2] of |partial_exp(k, z) - exp(z)|, on a uniform grid."""
-    grid = 41  # grid points, both ends included
-    with mp.workdps(40):
-        worst = mp.mpf(0)
-        for idx in range(grid):
-            z = mp.mpf(-2) + mp.mpf(4) * idx / (grid - 1)
-            err = abs(partial_exp(k, z) - mp.exp(z))
-            worst = max(worst, err)
-        return float(worst)
+        scale = factorial(n) * 10**n
+        coeffs = [  # a_n first, for Horner's rule
+            int(mp.ldexp(_weight_cache[n - j], W)) * (scale // (factorial(j) * 10**j))
+            for j in range(n, -1, -1)
+        ]
+        worst = 0
+        for i in range(41):
+            t = 0
+            for a in coeffs:
+                t = t * (i - 20) + a
+            e = int(mp.ldexp(mp.exp(mp.mpf(i - 20) / 10), W))
+            worst = max(worst, abs(t - e * scale))
+    return worst / (scale << W)
 
 
 # ----------------------------------------------------------------------

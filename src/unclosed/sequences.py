@@ -50,6 +50,7 @@ __all__ = [
 _fibonacci: list = [0, 1]
 _eulerian_rows: list = [(1,)]
 _bernoulli: list = [Fraction(1)]
+_bernoulli_half: list = []
 _delta_values: list = []
 
 
@@ -90,7 +91,10 @@ def bernoulli_half(n: int) -> Fraction:
     """B_n evaluated at 1/2, via B_n(1/2) = (2**(1-n) - 1) * B_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return (Fraction(2) ** (1 - n) - 1) * bernoulli_number(n)
+    while len(_bernoulli_half) <= n:
+        m = len(_bernoulli_half)
+        _bernoulli_half.append((Fraction(2) ** (1 - m) - 1) * bernoulli_number(m))
+    return _bernoulli_half[n]
 
 
 def polylog_delta(n: int) -> FieldElem:

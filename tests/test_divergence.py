@@ -11,7 +11,6 @@ from unclosed.divergence import (
     fit_geometric_rate,
     growth_report,
     normalized_polylog_delta,
-    partial_exp,
     partial_exp_max_error,
 )
 from unclosed.expansion import compute_expansion
@@ -112,6 +111,43 @@ def test_bernoulli_weight_normalization():
             assert abs(bernoulli_weight(k) - 1) <= mp.mpf(2) ** (1 - k)
 
 
+_weight_cache: list = []
+
+
+def partial_exp(k: int, z, dps: int = 40) -> mp.mpf:
+    """sum_{j=0}^{k+1} weight(k+1-j) * z**j / j! at dps digits; -> exp(z) as k grows.
+
+    The per-point mpf loop, an oracle independent of partial_exp_max_error's
+    int kernel; it shares only the 40-digit weights.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    with mp.workdps(dps):
+        zv = mp.mpmathify(z)
+        while len(_weight_cache) <= k + 1:
+            _weight_cache.append(bernoulli_weight(len(_weight_cache)))
+        total = zv * 0
+        term = mp.mpf(1)  # z**j / j!
+        for j in range(k + 2):
+            total += _weight_cache[k + 1 - j] * term
+            term = term * zv / (j + 1)
+        return total
+
+
+def oracle_max_error(k: int, dps: int) -> float:
+    """max |partial_exp(k, z) - exp(z)| over z = -2 + 4 idx / 40, all at dps digits."""
+    with mp.workdps(dps):
+        grid = [mp.mpf(-2) + mp.mpf(4) * idx / 40 for idx in range(41)]
+        return float(max(abs(partial_exp(k, z, dps) - mp.exp(z)) for z in grid))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 10, 20, 40, 60])
+def test_partial_exp_max_error_matches_mpf_oracle(k):
+    value = partial_exp_max_error(k)
+    assert value == oracle_max_error(k, 40)
+    assert value == oracle_max_error(k, 80)
+
+
 def test_partial_exp_at_zero_is_weight():
     with mp.workdps(40):
         for k in (3, 10, 25):
@@ -130,6 +166,8 @@ def test_partial_exp_max_error_decreases():
     e40 = partial_exp_max_error(40)
     assert e10 > e20 > e40
     assert e40 < 1e-5
+    with pytest.raises(ValueError):
+        partial_exp_max_error(-1)
 
 
 def test_symmetrized_partial_exp_cosh_sinh():
