@@ -98,11 +98,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _suite_doc(result: suites.SuiteResult, tag: str) -> dict:
+def _suite_doc(result: suites.SuiteResult) -> dict:
     # no timing fields: output must be byte-identical across runs
     return {
         "suite": result.name,
-        "criterion_tag": tag,
+        "criterion_tag": result.tag,
         "criterion": result.criterion,
         "ok": result.ok,
         "details": result.details,
@@ -115,9 +115,8 @@ def _timed_line(result: suites.SuiteResult) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tag = suites.SUITES[args.suite][0]
     result = suites.run_suite(args.suite)
-    doc = {"schema_version": SCHEMA_VERSION, "kind": "verify", **_suite_doc(result, tag)}
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "verify", **_suite_doc(result)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     sys.stderr.write(_timed_line(result) + "\n")
     return EXIT_OK if result.ok else EXIT_SUITE
@@ -125,8 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     results = suites.run_all()
-    docs = [_suite_doc(r, tag) for tag, r in results]
-    all_ok = all(r.ok for _, r in results)
+    docs = [_suite_doc(r) for r in results]
+    all_ok = all(r.ok for r in results)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "report",
@@ -134,8 +133,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "suites": docs,
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    for tag, r in results:
-        sys.stderr.write(f"[{tag}] {_timed_line(r)}\n")
+    for r in results:
+        sys.stderr.write(f"[{r.tag}] {_timed_line(r)}\n")
     return EXIT_OK if all_ok else EXIT_SUITE
 
 

@@ -4,10 +4,11 @@
 tag is the acceptance criterion it checks (or "extra" for the arc-bound
 measurement), and check() returns (ok, details), whose rows are plain
 JSON-ready dictionaries.  `run_suite` times the check and is the one place
-that builds a `SuiteResult`.  The CLI `verify`/`report` subcommands and
-tests/test_acceptance.py both dispatch through it, so a criterion passes on
-the command line exactly when it passes under pytest.  Every comparison of
-F(e^-s) with the expansion comes from `qseries.eval_report`, at its digits.
+that builds a `SuiteResult`, which carries the suite's tag.  The CLI
+`verify`/`report` subcommands and tests/test_acceptance.py both dispatch
+through it, so a criterion passes on the command line exactly when it
+passes under pytest.  Every comparison of F(e^-s) with the expansion comes
+from `qseries.eval_report`, at its digits.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ Check = Tuple[bool, List[dict]]
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
+    tag: str
     criterion: str
     ok: bool
     details: List[dict]
@@ -197,12 +199,12 @@ SUITES: Dict[str, Tuple[str, str, Callable[[], Check]]] = {
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite: {name}; known: {', '.join(sorted(SUITES))}")
-    _, criterion, check = SUITES[name]
+    tag, criterion, check = SUITES[name]
     start = time.perf_counter()
     ok, details = check()
-    return SuiteResult(name, criterion, ok, details, time.perf_counter() - start)
+    return SuiteResult(name, tag, criterion, ok, details, time.perf_counter() - start)
 
 
-def run_all() -> List[Tuple[str, SuiteResult]]:
+def run_all() -> List[SuiteResult]:
     """Run every registered suite in canonical (sorted) order."""
-    return [(SUITES[name][0], run_suite(name)) for name in sorted(SUITES)]
+    return [run_suite(name) for name in sorted(SUITES)]

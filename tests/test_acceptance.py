@@ -18,6 +18,7 @@ from unclosed.suites import run_suite
 
 def check(tag, name, max_seconds=None):
     result = run_suite(name)
+    assert result.tag == tag, f"suite {name} carries tag {result.tag}, not {tag}"
     print(f"[{tag}] {result.line()}  ({result.elapsed:.2f}s)")
     assert result.ok, f"{tag} failed: {result.details}"
     if max_seconds is not None:

@@ -21,6 +21,12 @@ which fails when `__all__` lists a name the module does not bind.  The
 unused-import and dead-code guards read `__all__` without importing, so a
 stale entry would pass them.
 
+The export-origin guard reads each package module other than `__init__.py`
+and flags an `__all__` entry that the module does not define at its top
+level (a function, class or assigned name): an entry it imports instead
+would give the name a second import path.  `__init__.py` is the one module
+that gathers names from the others.
+
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
 flags any of the process-pool and serialization modules it loads: the
 package runs in one process and needs none of them, and each would add to
@@ -66,13 +72,20 @@ def imported_names(tree):
     return names
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def all_entries(tree):
+    """The names the module's top-level `__all__` assignment lists."""
+    entries = []
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            entries += ast.literal_eval(node.value)
+    return entries
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(all_entries(tree))
     return used
 
 
@@ -298,6 +311,39 @@ def test_detects_a_stale_all_entry(monkeypatch):
     assert "gone" in str(star_import_error("planted"))
     planted.gone = 2
     assert star_import_error("planted") is None
+
+
+def undefined_exports(tree):
+    """The `__all__` entries that the module does not define at its top level."""
+    defined = {name for name, _, is_method in definitions(tree) if not is_method}
+    return [name for name in all_entries(tree) if name not in defined]
+
+
+def test_every_all_entry_is_defined_in_its_module():
+    stray = [
+        f"{p.name}: {name}"
+        for p in MODULES if p.name != "__init__.py"
+        for name in undefined_exports(parse(p))
+    ]
+    assert not stray, f"__all__ lists names the module does not define: {', '.join(stray)}"
+
+
+def test_detects_an_imported_all_entry():
+    planted = ast.parse(
+        "from .field import FieldElem\n"
+        "import mpmath as mp\n"
+        "__all__ = ['LIMIT', 'Report', 'check', 'FieldElem', 'mp', 'gone']\n"
+        "LIMIT: int = 10\n"
+        "class Report:\n"
+        "    def check(self):\n"
+        "        return LIMIT\n"
+        "def check():\n"
+        "    return Report()\n"
+    )
+    assert undefined_exports(planted) == ["FieldElem", "mp", "gone"]
+    # a method does not define a module-level name
+    method_only = ast.parse("__all__ = ['check']\nclass R:\n    def check(self):\n        pass\n")
+    assert undefined_exports(method_only) == ["check"]
 
 
 def test_no_defaulted_parameter_that_no_caller_sets():
