@@ -12,8 +12,9 @@ digits.  The precision policy required_digits is that loss plus 40:
     digits >= 40 + max(0, ceil((n + 1) log10(1/s)))
 
 with n = 0 for the sum alone.  The comparison with the truncated expansion
-and the numeric extraction of its coefficients cancel through order n, so
-they work at 10 + required_digits(s, n) digits.  Rounding in f_direct, of a
+through order n, and the coefficient ladder's Vandermonde solve through
+order n = K at its smallest s, cancel that much, so they work at
+10 + required_digits(s, n) digits.  Rounding in f_direct, of a
 decimal s and in its integer loop, uses part of its GUARD_DIGITS, not of
 the policy's digits.
 
@@ -28,7 +29,6 @@ series for the rest.  Its rounding uses part of its own 24 guard bits.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import atan2, factorial, isqrt, tau
 from typing import List, Optional, Sequence, Tuple, Union
@@ -41,7 +41,6 @@ __all__ = [
     "PrecisionError",
     "GUARD_DIGITS",
     "EvalReport",
-    "CoefficientEstimate",
     "ConstantTermReport",
     "LogPochReport",
     "MinorArcReport",
@@ -49,7 +48,7 @@ __all__ = [
     "f_direct",
     "normalized_remainder",
     "eval_report",
-    "extract_coefficient",
+    "coefficient_ladder",
     "log_pochhammer_inf",
     "log_poch_check",
     "minor_arc_check",
@@ -62,11 +61,12 @@ class PrecisionError(ValueError):
 
 
 # rounding slack on top of a digit count: f_direct and the normalization in
-# normalized_remainder, eval_report and extract_coefficient below all work at
+# normalized_remainder, eval_report and coefficient_ladder below all work at
 # digits + GUARD_DIGITS, with digits = 10 + required_digits(s, order) in the
-# last two (and so in the scaling suite).  f_direct's own rounding loses none
-# of them at s from 1e-5 to 5; rounding a decimal s to the working precision
-# moves F by up to log10(2/s) of them (4.0 measured at s = 1e-5)
+# last two (and so in the scaling suite; the ladder's s and order are its
+# smallest s and K).  f_direct's own rounding loses none of them at s from
+# 1e-5 to 5; rounding a decimal s to the working precision moves F by up to
+# log10(2/s) of them (4.0 measured at s = 1e-5)
 GUARD_DIGITS = 20
 
 # f_direct's bits beyond the working precision in c_1, c_m, d_m and P
@@ -228,64 +228,36 @@ def eval_report(s, order: int) -> EvalReport:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientEstimate:
-    """Numeric estimate of one expansion coefficient from a grid of s values."""
+def coefficient_ladder(s_grid: Sequence[Union[str, float]]) -> Tuple[Tuple[mp.mpf, mp.mpf], ...]:
+    """(estimate, spread) of b_0..b_(K-1) from direct sums at K + 1 = len(s_grid) points.
 
-    order: int
-    value: mp.mpf
-    estimates: Tuple[Tuple[str, mp.mpf], ...]
-    disagreement: float
-    consistent: bool
-
-
-def extract_coefficient(j: int, s_grid: Sequence[Union[str, float]]) -> CoefficientEstimate:
-    """Estimate the order-j coefficient from the remainder on a descending grid.
-
-    Subtracts the exact lower-order coefficients, divides by s**j, and
-    linearly extrapolates the two smallest grid points to s = 0.  Every
-    point is evaluated at the policy's digits for the smallest s and
-    order j, plus 10.  Warns when raw per-point estimates disagree by more
-    than 10%.
+    The normalized remainder is summed at every point, and one Vandermonde
+    solve fits sum_{j<=K} b_j s**j through all of them.  No exact
+    coefficient is an input, so b_0 = 1 tests the prefactor too.  The
+    spread of b_j is its distance to the same coefficient of the
+    degree-(K-1) fit through the K smallest points.  The solve cancels
+    through order K at the smallest s, so everything runs at
+    10 + required_digits(min s, K) digits, like eval_report.  Each point is
+    parsed once at that working precision, and both the matrix and f_direct
+    use that one value.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if len(s_grid) < 2:
+    K = len(s_grid) - 1
+    if K < 1:
         raise ValueError("need at least two grid points")
-    svals = sorted((mp.mpf(x) for x in s_grid), reverse=True)
-    if any(a == b for a, b in zip(svals, svals[1:])):
-        raise ValueError("grid points must be distinct")
-    digits = 10 + required_digits(svals[-1], j)
-    lower: List[mp.mpf] = [mp.mpf(1)]
-    if j >= 2:
-        result = compute_expansion(j - 1)
-        lower += [x.embed(digits) for x in result.b[1:]]
-    ests = []
+    # required_digits falls as s grows, so the largest is at the smallest s
+    digits = 10 + max(required_digits(x, K) for x in s_grid)
     with mp.workdps(digits + GUARD_DIGITS):
-        for smp in svals:
-            R = normalized_remainder(smp, digits)
-            resid = R
-            for i, bi in enumerate(lower):
-                resid -= bi * smp ** i
-            ests.append((mp.nstr(smp, 8), resid / smp ** j))
-        sa, ea = mp.mpf(svals[-2]), ests[-2][1]
-        sb, eb = mp.mpf(svals[-1]), ests[-1][1]
-        value = (sa * eb - sb * ea) / (sa - sb)
-        vals = [e for _, e in ests]
-        disagreement = float((max(vals) - min(vals)) / abs(value)) if value else float("inf")
-    consistent = disagreement <= 0.10
-    if not consistent:
-        warnings.warn(
-            f"coefficient {j}: grid estimates disagree by {disagreement:.1%}",
-            stacklevel=2,
-        )
-    return CoefficientEstimate(
-        order=j,
-        value=value,
-        estimates=tuple(ests),
-        disagreement=disagreement,
-        consistent=consistent,
-    )
+        svals = sorted(mp.mpf(x) for x in s_grid)
+        if any(a == b for a, b in zip(svals, svals[1:])):
+            raise ValueError("grid points must be distinct")
+        R = [normalized_remainder(x, digits) for x in svals]
+
+        def fit(n):  # b_0..b_(n-1) through the n smallest points
+            A = mp.matrix([[x ** i for i in range(n)] for x in svals[:n]])
+            return mp.lu_solve(A, mp.matrix(R[:n]))
+
+        full, lower = fit(K + 1), fit(K)
+        return tuple((full[j], abs(full[j] - lower[j])) for j in range(K))
 
 
 def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
@@ -452,8 +424,6 @@ def log_poch_check(
 class MinorArcRow:
     s: str
     v: float
-    log_ratio: float
-    log_bound: float
     margin: float
 
 
@@ -483,6 +453,8 @@ def minor_arc_check() -> MinorArcReport:
             qv = mp.exp(-smp)
             v_low = smp ** mp.mpf("-2/3")
             v_end = mp.pi / smp
+            # log of the bound over C
+            bound = mp.pi ** 2 / (5 * smp) - mp.sqrt(5) / (2 * smp ** mp.mpf("1/3"))
             samples = sorted({min(f * v_low, v_end) for f in (1.0, 2.0, 5.0)}) + [v_end]
             for vv in samples:
                 num = log_pochhammer_inf(
@@ -491,17 +463,8 @@ def minor_arc_check() -> MinorArcReport:
                 den = log_pochhammer_inf(
                     (1 / mp.phi) * mp.exp(-smp * (mp.mpf(1) / 2 - mp.mpc(0, 1) * vv)), qv, dps
                 )
-                log_ratio = mp.re(num - den)
-                log_bound = mp.pi ** 2 / (5 * smp) - mp.sqrt(5) / (2 * smp ** mp.mpf("1/3"))
-                rows.append(
-                    MinorArcRow(
-                        s=str(s),
-                        v=float(vv),
-                        log_ratio=float(log_ratio),
-                        log_bound=float(log_bound),
-                        margin=float(log_ratio - log_bound),
-                    )
-                )
+                margin = float(mp.re(num - den) - bound)
+                rows.append(MinorArcRow(s=str(s), v=float(vv), margin=margin))
     fitted = float(mp.exp(max(r.margin for r in rows)))
     return MinorArcReport(
         rows=tuple(rows),

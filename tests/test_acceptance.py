@@ -141,6 +141,28 @@ def test_ac10_fails_on_broken_grading(monkeypatch, power, degree, key):
     assert [k for k, ok in result.details[0].items() if not ok] == [key]
 
 
+def test_ac10_fails_on_an_odd_power_that_integrates_to_zero(monkeypatch):
+    # 1 + w'**2 added on t'**3 has Gaussian mean 1 - 1 = 0, so expansion._build
+    # accepts it and every b_j stays the same; only its even w'-powers show it
+    good = expansion.exp_series
+
+    def planted(a):
+        total = good(a)
+        coeffs = [total[3].coeff(j) for j in range(max(len(total[3].P), 3))]
+        coeffs[0] += 1
+        coeffs[2] += 1
+        return total[:3] + (VPoly(coeffs),) + total[4:]
+
+    monkeypatch.setattr(expansion, "exp_series", planted)
+    monkeypatch.setattr(expansion, "_prefix", None)
+    assert series.gaussian_integrate(VPoly([1, 0, 1])) == 0
+    result = run_suite("parity")
+    assert not result.ok
+    assert result.details == [
+        {"odd_vanish": False, "all_real": True, "all_in_sqrt5_field": True}
+    ]
+
+
 def test_extra_minor_arc_bound():
     # not an acceptance criterion; recorded alongside for completeness
     check("extra", "minor-arc")

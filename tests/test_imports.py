@@ -27,6 +27,12 @@ level (a function, class or assigned name): an entry it imports instead
 would give the name a second import path.  `__init__.py` is the one module
 that gathers names from the others.
 
+The dataclass-field guard flags a field of a `@dataclass` defined in
+`src/unclosed/` that no loaded attribute in `src/`, `demos/` or `tests/`
+reads (`x.field`).  Tests count here: a field that only a test reads may back
+a check against an independent oracle.  A field name read on any object
+counts, so the guard can miss a dead field but does not flag a read one.
+
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
 flags any of the process-pool and serialization modules it loads: the
 package runs in one process and needs none of them, and each would add to
@@ -55,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "unclosed"
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # called from outside src/ and demos/: the console script in pyproject.toml
 ENTRY_POINTS = {"cli.main"}
@@ -381,6 +388,70 @@ def test_detects_a_defaulted_parameter_no_caller_sets():
     ]
     # cli.main is exempt by name, as the console script calls it
     assert unset_knobs({"cli": ast.parse("def main(argv=None):\n    return argv\n")}, []) == []
+
+
+def is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package, others):
+    """'module.Class.field' of each `@dataclass` field in `package` ({module: tree}) that
+    no loaded attribute in `package` or `others` reads."""
+    read = set()
+    for tree in [*package.values(), *others]:
+        read |= {
+            sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        }
+    unread = []
+    for module, tree in package.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in read:
+                        unread.append(f"{module}.{node.name}.{item.target.id}")
+    return unread
+
+
+def test_no_dataclass_field_that_nothing_reads():
+    unread = unread_fields(
+        {p.stem: parse(p) for p in MODULES}, [parse(p) for p in DEMOS + TESTS]
+    )
+    assert not unread, f"dataclass fields nothing reads: {', '.join(unread)}"
+
+
+def test_detects_a_dataclass_field_that_nothing_reads():
+    planted = ast.parse(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Row:\n"
+        "    s: str\n"
+        "    margin: float\n"
+        "    unread: float\n"
+        "    def line(self):\n"
+        "        return self.s\n"
+        "@dataclasses.dataclass\n"
+        "class Report:\n"
+        "    rows: tuple\n"
+        "    spare: int = 0\n"
+        "class Plain:\n"
+        "    unread: int\n"
+        "def build(rows):\n"
+        "    return Report(rows=rows, spare=1)\n"
+    )
+    # keyword construction and a stored attribute are not reads
+    test = ast.parse("r = build([])\nr.rows[0].margin\nr.spare = 2\n")
+    assert unread_fields({"m": planted}, [test]) == ["m.Row.unread", "m.Report.spare"]
+    assert unread_fields({"m": planted}, []) == [
+        "m.Row.margin", "m.Row.unread", "m.Report.rows", "m.Report.spare"
+    ]
 
 
 # modules that `import unclosed.cli` must not load

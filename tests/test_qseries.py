@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import mpmath as mp
 import pytest
@@ -10,8 +9,8 @@ from unclosed.qseries import (
     ConstantTermReport,
     PrecisionError,
     constant_term_check,
+    coefficient_ladder,
     eval_report,
-    extract_coefficient,
     f_direct,
     log_poch_check,
     log_pochhammer_inf,
@@ -280,22 +279,63 @@ def test_remainder_precision_invariance():
         assert abs(a - b) < mp.mpf("1e-60")
 
 
-def test_extract_coefficient_b1():
-    est = extract_coefficient(1, ["0.1", "0.05", "0.025"])
-    with mp.workdps(40):
-        assert abs(est.value - mp.mpf("0.0559016994374947")) < mp.mpf("0.0056")
-    assert est.consistent
-    assert est.order == 1
-    assert len(est.estimates) == 3
+LADDER_GRID = ["0.005", "0.01", "0.015", "0.02", "0.025", "0.03", "0.035", "0.04", "0.045"]
 
 
-def test_extract_coefficient_residual_scaling():
-    # with exact b1 subtracted the residual scales like s^2: the raw j=2
-    # estimates at s and s/2 agree within a factor well inside [2, 8]
-    est = extract_coefficient(2, ["0.1", "0.05"])
-    vals = [v for _, v in est.estimates]
-    ratio = float(vals[0] / vals[1])
-    assert 0.5 < ratio < 2.0  # both approximate the same finite b2
+def test_ladder_matches_exact_b0_to_b3():
+    # nine direct sums fit b_0..b_8 with no exact input; b_0 tests the
+    # prefactor (1 only for V = pi**2/5 and sqrt(2 pi sqrt5 / s)).  Each
+    # spread is about 9 times the error here (errors 6.6e-17, 3.7e-14,
+    # 8.5e-12 and 1.0e-9), and every spread is below 1e-6 of its b_j
+    from unclosed.expansion import compute_expansion
+
+    ladder = coefficient_ladder(LADDER_GRID)
+    assert len(ladder) == 8
+    exact = compute_expansion(3).b
+    with mp.workdps(60):
+        for j in range(4):
+            estimate, spread = ladder[j]
+            target = exact[j].embed(60)
+            assert abs(estimate - target) <= spread, j
+            assert spread < mp.mpf("1e-6") * abs(target), j
+        assert abs(ladder[0][0] - 1) < mp.mpf("1e-15")
+
+
+def test_ladder_gives_the_same_values_at_60_more_digits(monkeypatch):
+    # the solve cancels through order K at the smallest s, which the policy
+    # at (min s, K) pays for; 60 more digits move no estimate by more than
+    # 1e-55 of itself (1.2e-60 measured, at b_7)
+    policy = qseries.required_digits
+
+    def wider(s, order=0):
+        return 60 + policy(s, order)
+
+    at_policy = coefficient_ladder(LADDER_GRID)
+    monkeypatch.setattr(qseries, "required_digits", wider)
+    wide = coefficient_ladder(LADDER_GRID)
+    with mp.workdps(150):
+        for (a, _), (b, _) in zip(at_policy, wide):
+            assert abs(a - b) < mp.mpf("1e-55") * abs(b)
+
+
+def test_ladder_spread_flags_a_bad_grid():
+    # at s = 4, 2, 1 the remainder is far from its small-s polynomial: the
+    # b_1 of the 3-point fit and of the 2-point fit differ by half of b_1
+    (_, _), (b1, spread) = coefficient_ladder(["4", "2", "1"])
+    assert spread > mp.mpf("0.10") * abs(b1)
+
+
+def test_ladder_validation():
+    with pytest.raises(ValueError, match="two grid points"):
+        coefficient_ladder(["0.1"])
+    with pytest.raises(ValueError, match="distinct"):
+        coefficient_ladder(["0.05", "0.1", "0.10"])
+    with pytest.raises(ValueError, match="positive"):
+        coefficient_ladder(["0.1", "-0.1"])
+
+
+def test_remainder_minus_b1_scales_like_s2():
+    # with the exact b_1 subtracted, the residual falls about 4x per halving of s
     r2 = []
     for s in ("0.1", "0.05"):
         R = normalized_remainder(s, 80)
@@ -325,21 +365,6 @@ def test_residual_order_property_through_j3():
             for a, b in zip(ratios, ratios[1:]):
                 q = a / b
                 assert mp.mpf(1) / 4 < q < 4, (J, float(q))
-
-
-def test_extract_coefficient_validation_and_warning():
-    with pytest.raises(ValueError):
-        extract_coefficient(0, ["0.1", "0.05"])
-    with pytest.raises(ValueError):
-        extract_coefficient(1, ["0.1"])
-    with pytest.raises(ValueError, match="distinct"):
-        extract_coefficient(2, ["0.1", "0.10"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        est = extract_coefficient(1, ["4.0", "2.0"])
-    assert not est.consistent
-    assert est.disagreement > 0.10
-    assert any("disagree" in str(w.message) for w in caught)
 
 
 def test_dilog_closed_forms():
