@@ -38,7 +38,8 @@ for r in rows:
 print()
 
 print("=== coefficient growth: |b_j|^(1/j) keeps climbing ===")
-section = b_growth(compute_expansion(12))
-print("  roots:", " ".join(f"{x:.4f}" for x in section.roots))
+result = compute_expansion(12)
+section = b_growth(result)
+print("  roots:", " ".join(f"{x:.4f}" for x in result.growth))
 print(f"  strictly increasing on the last four orders: {section.tail_increasing}")
 print(f"  ratio test |b_j+1/b_j| exceeds 1 from j = {section.ratio_cross_index}")

@@ -77,7 +77,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         {
             "s": r.s,
             "digits": r.digits,
-            "order": r.truncation_order,
+            "order": args.order,
             "terms_used": r.terms_used,
             "F": mp.nstr(r.F_value, digits),
             "remainder": mp.nstr(r.remainder, digits),
@@ -143,18 +143,24 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
         raise ConfigError("--max-order must lie in [6, 24]")
     if not 6 <= args.ebar_max <= 64:
         raise ConfigError("--ebar-max must lie in [6, 64]")
-    report = divergence.growth_report(args.max_order, args.ebar_max)
+    raw = [divergence.normalized_polylog_delta(n) for n in range(args.ebar_max + 1)]
+    result = compute_expansion(args.max_order)
     if args.fmt == "json":
+        # subtract before converting: the deviations sink far below float eps
+        errors = [float(abs(v - 1)) for v in raw]
+        fit_hi = min(30, args.ebar_max)
+        rate, _ = divergence.fit_geometric_rate(range(5, fit_hi + 1), errors[5 : fit_hi + 1])
+        section = divergence.b_growth(result)
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "diverge",
-            "n_range": list(report.n_range),
-            "ebar": [repr(x) for x in report.ebar],
-            "ebar_err": [repr(x) for x in report.ebar_err],
-            "fitted_rate": report.fitted_rate,
-            "b_roots": [repr(x) for x in report.b_roots],
-            "tail_increasing": report.tail_increasing,
-            "ratio_cross_index": report.ratio_cross_index,
+            "n_range": [0, args.ebar_max],
+            "ebar": [repr(float(v)) for v in raw],
+            "ebar_err": [repr(x) for x in errors],
+            "fitted_rate": rate,
+            "b_roots": [repr(x) for x in result.growth],
+            "tail_increasing": section.tail_increasing,
+            "ratio_cross_index": section.ratio_cross_index,
             "cosh_rows": [
                 {
                     "level": r.level,
@@ -164,15 +170,15 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
                     "target": r.target,
                     "abs_err": r.abs_err,
                 }
-                for r in report.cosh_rows
+                for r in divergence.cosh_limit_check()
             ],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = ["kind,index,value"]
-        for n, x in enumerate(report.ebar):
-            lines.append(f"ebar,{n},{x!r}")
-        for j, x in enumerate(report.b_roots):
+        for n, v in enumerate(raw):
+            lines.append(f"ebar,{n},{float(v)!r}")
+        for j, x in enumerate(result.growth):
             lines.append(f"b_root,{j + 1},{x!r}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

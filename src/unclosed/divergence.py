@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
 
-from .expansion import ExpansionResult, compute_expansion
+from .expansion import ExpansionResult
 from .sequences import polylog_delta
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "cosh_limit_check",
     "GrowthSection",
     "b_growth",
-    "GrowthReport",
-    "growth_report",
 ]
 
 
@@ -204,8 +202,7 @@ def cosh_limit_check(
 class GrowthSection:
     """Root statistics of the expansion coefficients."""
 
-    roots: Tuple[float, ...]  # |b_j|**(1/j), j = 1..J
-    tail_increasing: bool  # strictly increasing on the last four indices
+    tail_increasing: bool  # |b_j|**(1/j) strictly increasing on the last four indices
     ratio_cross_index: Optional[int]  # first j with |b_{j+1}/b_j| > 1 onward
 
 
@@ -213,8 +210,7 @@ def b_growth(result: ExpansionResult) -> GrowthSection:
     """Growth witnesses from an exact expansion (needs max_order >= 6)."""
     if result.max_order < 6:
         raise ValueError("growth statistics need max_order >= 6")
-    roots = result.growth
-    tail = roots[-4:]
+    tail = result.growth[-4:]
     increasing = all(a < b for a, b in zip(tail, tail[1:]))
     with mp.workdps(40):
         mags = [abs(x.embed(40)) for x in result.b]
@@ -224,41 +220,5 @@ def b_growth(result: ExpansionResult) -> GrowthSection:
         if all(r > 1 for r in ratios[idx:]):
             cross = idx + 1  # ratios[idx] compares b_{idx+2} with b_{idx+1}
             break
-    return GrowthSection(roots=roots, tail_increasing=increasing, ratio_cross_index=cross)
+    return GrowthSection(tail_increasing=increasing, ratio_cross_index=cross)
 
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Full divergence diagnostic: scaled deltas, fitted rate, roots, cosh rows."""
-
-    n_range: Tuple[int, int]
-    ebar: Tuple[float, ...]
-    ebar_err: Tuple[float, ...]
-    fitted_rate: float
-    b_roots: Tuple[float, ...]
-    tail_increasing: bool
-    ratio_cross_index: Optional[int]
-    cosh_rows: Tuple[CoshRow, ...]
-
-
-def growth_report(max_order: int, ebar_max: int) -> GrowthReport:
-    if ebar_max < 6:
-        raise ValueError("ebar_max must be >= 6")
-    raw = [normalized_polylog_delta(n) for n in range(ebar_max + 1)]
-    values = [float(v) for v in raw]
-    # subtract before converting: the deviations sink far below float eps
-    errors = [float(abs(v - 1)) for v in raw]
-    fit_lo, fit_hi = 5, min(30, ebar_max)
-    rate, _ = fit_geometric_rate(range(fit_lo, fit_hi + 1), errors[fit_lo : fit_hi + 1])
-    section = b_growth(compute_expansion(max_order))
-    cosh_rows = cosh_limit_check()
-    return GrowthReport(
-        n_range=(0, ebar_max),
-        ebar=tuple(values),
-        ebar_err=tuple(errors),
-        fitted_rate=rate,
-        b_roots=section.roots,
-        tail_increasing=section.tail_increasing,
-        ratio_cross_index=section.ratio_cross_index,
-        cosh_rows=cosh_rows,
-    )

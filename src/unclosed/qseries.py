@@ -23,14 +23,16 @@ log-Pochhammer error scaling, and the minor-arc bound measurement; those
 back the exact expansion against independent numerics.  The last two sum
 log (c; q)_inf through log_pochhammer_inf, which also runs on Python ints:
 a fixed-point complex product of the factors with |c q**n| > 1/2 and one
-mp.log of it, whose branch comes back from float arguments, then Euler's
-series for the rest.  Its rounding uses part of its own 24 guard bits.
+mp.log of it, then Euler's series for the rest.  The result is exact up to
+a multiple of 2 pi i, which neither check reads: the minor-arc check takes
+real parts, and the truncation check compares modulo 2 pi i.  Its rounding
+uses part of its own 24 guard bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, factorial, isqrt, tau
+from math import factorial, isqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
@@ -42,8 +44,6 @@ __all__ = [
     "GUARD_DIGITS",
     "EvalReport",
     "ConstantTermReport",
-    "LogPochReport",
-    "MinorArcReport",
     "required_digits",
     "f_direct",
     "normalized_remainder",
@@ -192,7 +192,6 @@ class EvalReport:
 
     s: str
     digits: int
-    truncation_order: int
     terms_used: int
     F_value: mp.mpf
     remainder: mp.mpf
@@ -218,7 +217,6 @@ def eval_report(s, order: int) -> EvalReport:
     return EvalReport(
         s=str(s),
         digits=digits,
-        truncation_order=order,
         terms_used=terms,
         F_value=F,
         remainder=remainder,
@@ -261,7 +259,10 @@ def coefficient_ladder(s_grid: Sequence[Union[str, float]]) -> Tuple[Tuple[mp.mp
 
 
 def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
-    """Sum of principal logs of (1 - prefactor * q**n), n >= 0.
+    """log (prefactor; q)_inf = sum_{n>=0} log(1 - prefactor * q**n), up to 2 pi i k.
+
+    The result is exact up to an integer multiple of 2 pi i, so its real
+    part, log |(prefactor; q)_inf|, is exact whatever the branch.
 
     The factors with |prefactor * q**n| > 1/2 form the factor phase.  The
     rest, from x = prefactor * q**N with |x| <= 1/2 on, are summed by
@@ -276,15 +277,9 @@ def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
     |c q**n|**2 > 1/4, compared exactly on the ints.  It multiplies the
     factors 1 - c q**n into one complex mantissa pair, cut to W bits, with
     a shared exponent, and takes a single mp.log of the product at the end.
-    That log is principal, while the factor-by-factor sum can lie whole
-    turns away from it (six turns at s = 0.02, v = 40 on the minor arc).
-    The branch comes back from the float sum A of atan2 over the int
-    factors, which is within about 1e-13 of the factor-by-factor imaginary
-    part: the result adds 2 pi i k with k = round((A - Im log) / 2 pi).  A
-    factor on the negative real axis gets -pi when Im c > 0, even when
-    Im c q**n lies below 2**-W and its int is 0, and +pi when c is real, as
-    mp.log gives for each factor.  A factor that is 0 at scale 2**W raises
-    ValueError.
+    That log is principal, so the result can lie whole turns away from the
+    sum of the factors' principal logs (six turns at s = 0.02, v = 40 on the
+    minor arc).  A factor that is 0 at scale 2**W raises ValueError.
 
     In the tail, x**k is a complex int product and q**k an int product;
     term k is (x**k << W) // (k (1 - q**k)), floored per component.
@@ -313,18 +308,12 @@ def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
         quarter = 1 << (2 * W - 2)
         cr, ci = int(mp.ldexp(mp.re(c), W)), int(mp.ldexp(mp.im(c), W))
         qi = int(mp.ldexp(qv, W))
-        # prod (1 - c q**n) = (pr + i pi_) * 2**pe, and the float sum of
-        # the factors' principal arguments.  An int c_i of 0 stands for
-        # 0 <= Im c q**n < 2**-W (a negative c_i never floors up to 0), so
-        # zero_fi carries the sign of -Im c for it
+        # prod (1 - c q**n) = (pr + i pi_) * 2**pe
         pr, pi_, pe = one, 0, -W
-        zero_fi = -0.0 if mp.im(c) > 0 else 0.0
-        angle = 0.0
         while cr * cr + ci * ci > quarter:
             fr, fi = one - cr, -ci
             if not (fr or fi):
                 raise ValueError("a factor 1 - prefactor * q**n is zero at the working precision")
-            angle += atan2(fi or zero_fi, fr)
             pr, pi_ = pr * fr - pi_ * fi, pr * fi + pi_ * fr
             cut = max(pr.bit_length(), pi_.bit_length()) - W
             pr >>= cut
@@ -332,8 +321,6 @@ def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
             pe += cut - W
             cr, ci = cr * qi >> W, ci * qi >> W
         acc = mp.log(mp.mpc(mp.mpf((pr, pe)), mp.mpf((pi_, pe))))
-        turns = round((angle - float(acc.imag)) / tau)
-        acc += mp.mpc(0, 2 * mp.pi * turns)
         # 4 |term|**2 < tiny**2 as 4 * 10**(2 (digits + 5)) |term * 2**W|**2 < 2**(2 W)
         tiny_scale = 4 * 10 ** (2 * (digits + 5))
         limit = 1 << (2 * W)
@@ -361,28 +348,19 @@ class LogPochRow:
     abs_err: mp.mpf
 
 
-@dataclass(frozen=True)
-class LogPochReport:
-    """Truncation-error scaling of the log-Pochhammer expansion."""
-
-    w_label: str
-    v: float
-    order: int
-    rows: Tuple[LogPochRow, ...]
-    halving_ratios: Tuple[float, ...]
-
-
 def log_poch_check(
     label: str, v: float, N: int, s_grid: Sequence[Union[str, float]]
-) -> LogPochReport:
-    """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation.
+) -> Tuple[LogPochRow, ...]:
+    """Compare log((w e^{-s(1/2 + i*v)}; e^{-s})_inf) with its truncation, per s.
 
     `label` names w: "1/phi" or "-phi", the two golden-ratio arguments.
     The truncation keeps orders k = -1..N of
     sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!, with every
     polylog from mpmath: k = -1 gives -Li_2(w)/s and k = 0 gives
-    Li_1(w) * i*v.  Both sides are taken at 50 digits.  Expected error
-    decay is s**(N+1) at fixed v.
+    Li_1(w) * i*v.  Both sides are taken at 50 digits.  log_pochhammer_inf
+    fixes the direct side only up to 2 pi i k, so abs_err is |direct -
+    truncated| after the multiple of 2 pi i nearest to that difference is
+    taken off it.  Expected error decay is s**(N+1) at fixed v.
     """
     if label not in ("1/phi", "-phi"):
         raise ValueError('label must be "1/phi" or "-phi"')
@@ -406,18 +384,10 @@ def log_poch_check(
             pref = wn * mp.exp(-smp * (mp.mpf(1) / 2 + mp.mpc(0, 1) * v))
             direct = log_pochhammer_inf(pref, qv, dps)
             trunc = sum((c * (-smp) ** k for k, c in terms), mp.mpc(0))
-            rows.append(
-                LogPochRow(
-                    s=str(s), direct=direct, truncated=trunc, abs_err=abs(direct - trunc)
-                )
-            )
-        ratios = []
-        for a, b in zip(rows, rows[1:]):
-            if b.abs_err > 0:
-                ratios.append(float(a.abs_err / b.abs_err))
-    return LogPochReport(
-        w_label=label, v=v, order=N, rows=tuple(rows), halving_ratios=tuple(ratios)
-    )
+            err = direct - trunc
+            err -= mp.mpc(0, 2 * mp.pi) * mp.nint(mp.im(err) / (2 * mp.pi))
+            rows.append(LogPochRow(s=str(s), direct=direct, truncated=trunc, abs_err=abs(err)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -427,23 +397,15 @@ class MinorArcRow:
     margin: float
 
 
-@dataclass(frozen=True)
-class MinorArcReport:
-    """Measured Pochhammer-quotient size on the large-|v| arc vs. the bound."""
-
-    rows: Tuple[MinorArcRow, ...]
-    fitted_constant: float
-    arc_condition_used: str
-    arc_condition_alt: str
-
-
-def minor_arc_check() -> MinorArcReport:
-    """Check |quotient| <= C * exp(pi**2/(5s) - sqrt5/(2 s**(1/3))) on the arc.
+def minor_arc_check() -> Tuple[MinorArcRow, ...]:
+    """log |quotient| - (pi**2/(5s) - sqrt5/(2 s**(1/3))) on the arc, per sample.
 
     Samples |v| at 1, 2 and 5 times the arc boundary s**(-2/3) (the split
-    actually used; the alternative reading with s**(+2/3) is recorded
-    alongside) and at the endpoint pi/s, for s = 0.05 and 0.02 at 40 digits,
-    and reports the fitted constant C.
+    actually used, rather than the alternative reading s**(+2/3)) and at the
+    endpoint pi/s, for s = 0.05 and 0.02 at 40 digits.  Each row's margin is
+    log C for the C that makes |quotient| <= C * exp(pi**2/(5s) -
+    sqrt5/(2 s**(1/3))) hold with equality there; the minor-arc suite fits
+    C as exp of the largest margin.
     """
     dps = 40
     rows = []
@@ -465,13 +427,7 @@ def minor_arc_check() -> MinorArcReport:
                 )
                 margin = float(mp.re(num - den) - bound)
                 rows.append(MinorArcRow(s=str(s), v=float(vv), margin=margin))
-    fitted = float(mp.exp(max(r.margin for r in rows)))
-    return MinorArcReport(
-        rows=tuple(rows),
-        fitted_constant=fitted,
-        arc_condition_used="|v| > s**(-2/3)",
-        arc_condition_alt="|v| > s**(2/3)",
-    )
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +480,6 @@ def _constant_term_coeffs(M: int) -> Tuple[List[int], bool]:
 class ConstantTermReport:
     """Outcome of the exact constant-term identity comparison."""
 
-    order: int
     ok: bool
     half_powers_cancelled: bool
     first_mismatch: Optional[int]
@@ -544,7 +499,6 @@ def constant_term_check(M: int) -> ConstantTermReport:
     ct, half_ok = _constant_term_coeffs(M)
     first = next((t for t in range(M + 1) if direct[t] != ct[t]), None)
     return ConstantTermReport(
-        order=M,
         ok=first is None and half_ok,
         half_powers_cancelled=half_ok,
         first_mismatch=first,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from unclosed import cli, qseries, suites
+from unclosed import cli, divergence, qseries, suites
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -241,6 +241,8 @@ def test_diverge(capsys):
     code, out, _ = run_cli(capsys, "diverge", "--max-order", "8", "--ebar-max", "12")
     assert code == 0
     doc = json.loads(out)
+    assert doc["n_range"] == [0, 12]
+    assert len(doc["ebar"]) == len(doc["ebar_err"]) == 13
     assert doc["tail_increasing"] is True
     assert doc["fitted_rate"] < 1
     assert len(doc["b_roots"]) == 8
@@ -255,6 +257,30 @@ def test_diverge_csv(capsys):
     assert lines[0] == "kind,index,value"
     assert any(ln.startswith("ebar,12,") for ln in lines)
     assert any(ln.startswith("b_root,8,") for ln in lines)
+
+
+def test_diverge_csv_skips_the_json_only_checks(capsys, monkeypatch):
+    # the CSV prints only ebar and b_root rows: the cosh rows, the fit and
+    # the growth section are never computed for it
+    def fail(*args, **kwargs):
+        raise AssertionError("called for the CSV form")
+
+    for name in ("cosh_limit_check", "fit_geometric_rate", "b_growth"):
+        monkeypatch.setattr(divergence, name, fail)
+    code, out, _ = run_cli(capsys, "diverge", "--format", "csv")
+    assert code == 0
+    assert out.startswith("kind,index,value\nebar,0,")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--ebar-max", "5"), ("--ebar-max", "65"), ("--max-order", "5"),
+                    ("--max-order", "25")]
+)
+def test_diverge_rejects_out_of_range_orders(capsys, flag, value):
+    code, out, err = run_cli(capsys, "diverge", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must lie in ")
 
 
 def test_out_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from unclosed.divergence import (
     cosh_limit_check,
     exponent_sum,
     fit_geometric_rate,
-    growth_report,
     normalized_polylog_delta,
     partial_exp_max_error,
 )
@@ -236,20 +235,9 @@ def test_cosh_limit_validation():
 def test_b_growth():
     r = compute_expansion(12)
     section = b_growth(r)
-    assert abs(section.roots[0] - 0.05590169943749474) < 1e-12
+    assert abs(r.growth[0] - 0.05590169943749474) < 1e-12
     assert section.tail_increasing
     assert section.ratio_cross_index is not None
     assert section.ratio_cross_index <= 12
     with pytest.raises(ValueError):
         b_growth(compute_expansion(4))
-
-
-def test_growth_report_shape():
-    rep = growth_report(max_order=8, ebar_max=20)
-    assert rep.n_range == (0, 20)
-    assert len(rep.ebar) == 21
-    assert rep.fitted_rate < 1
-    assert len(rep.b_roots) == 8
-    assert rep.cosh_rows
-    with pytest.raises(ValueError):
-        growth_report(12, 4)

@@ -33,6 +33,14 @@ reads (`x.field`).  Tests count here: a field that only a test reads may back
 a check against an independent oracle.  A field name read on any object
 counts, so the guard can miss a dead field but does not flag a read one.
 
+The argument-field guard flags a field of a `@dataclass` defined in
+`src/unclosed/` that a call in `src/unclosed/` fills, by keyword, with a
+parameter of the calling function, unchanged or through `str`, `float` or
+`int`: the caller already holds that value, so the field only repeats it.
+Positional arguments are not matched.  ARGUMENT_FIELDS lists the fields
+that stay, each with the reader that needs the value to travel with the
+result.
+
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
 flags any of the process-pool and serialization modules it loads: the
 package runs in one process and needs none of them, and each would add to
@@ -452,6 +460,77 @@ def test_detects_a_dataclass_field_that_nothing_reads():
     assert unread_fields({"m": planted}, []) == [
         "m.Row.margin", "m.Row.unread", "m.Report.rows", "m.Report.spare"
     ]
+
+
+# dataclass fields that repeat an argument of their caller on purpose
+ARGUMENT_FIELDS = {
+    # the result goes on to render_expansion and divergence.b_growth, which
+    # take no order of their own
+    "expansion.ExpansionResult.max_order",
+    # perfbench/tracing.py's eval hook reads it to check the precision policy
+    "qseries.EvalReport.s",
+}
+
+
+def argument_fields(package):
+    """'module.Class.field' of each `@dataclass` field in `package` ({module: tree}) that a
+    call in `package` fills by keyword with a parameter of the calling function, unchanged
+    or through str, float or int."""
+    owner = {
+        node.name: module
+        for module, tree in package.items() for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+    }
+    flagged = set()
+    for tree in package.values():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in owner):
+                    continue
+                cls = call.func.id
+                for kw in call.keywords:
+                    value = kw.value
+                    if (isinstance(value, ast.Call) and len(value.args) == 1
+                            and getattr(value.func, "id", None) in ("str", "float", "int")):
+                        value = value.args[0]
+                    if isinstance(value, ast.Name) and value.id in params:
+                        flagged.add(f"{owner[cls]}.{cls}.{kw.arg}")
+    return sorted(flagged)
+
+
+def test_no_dataclass_field_that_repeats_an_argument():
+    repeated = set(argument_fields({p.stem: parse(p) for p in MODULES})) - ARGUMENT_FIELDS
+    assert not repeated, f"dataclass fields that repeat an argument: {', '.join(sorted(repeated))}"
+
+
+def test_detects_a_dataclass_field_that_repeats_an_argument():
+    planted = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    label: str\n"
+        "    order: int\n"
+        "    rows: tuple\n"
+        "    err: float\n"
+        "    size: int\n"
+        "class Plain:\n"
+        "    def __init__(self, label):\n"
+        "        self.label = label\n"
+        "def check(label, v, *, order=2):\n"
+        "    rows = (v,)\n"
+        "    Plain(label=label)\n"
+        "    return Report(label=str(label), order=order, rows=rows, err=float(v) / 2,\n"
+        "                  size=len(rows))\n"
+        "def build(n):\n"
+        "    return Report(n, 0, (), 0.0, 0)\n"
+    )
+    # a local, an expression of a parameter, a plain class and a positional
+    # argument are not matched
+    assert argument_fields({"m": planted}) == ["m.Report.label", "m.Report.order"]
 
 
 # modules that `import unclosed.cli` must not load
