@@ -1,8 +1,10 @@
+import json
 import math
 
 import mpmath as mp
 import pytest
 
+from unclosed import cli
 from unclosed.divergence import (
     b_growth,
     bernoulli_weight,
@@ -241,3 +243,16 @@ def test_b_growth():
     assert section.ratio_cross_index <= 12
     with pytest.raises(ValueError):
         b_growth(compute_expansion(4))
+
+
+def test_growth_report_shape(capsys):
+    # the full diagnostic is assembled by `diverge`; an ebar_max below 6 is
+    # rejected with exit code 2
+    assert cli.main(["diverge", "--max-order", "8", "--ebar-max", "20"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["n_range"] == [0, 20]
+    assert len(rep["ebar"]) == 21
+    assert rep["fitted_rate"] < 1
+    assert len(rep["b_roots"]) == 8
+    assert rep["cosh_rows"]
+    assert cli.main(["diverge", "--max-order", "12", "--ebar-max", "4"]) == 2
