@@ -11,12 +11,12 @@ witnesses the package measures.
 import mpmath as mp
 
 from unclosed.divergence import (
+    b_growth,
     cosh_limit_check,
     normalized_polylog_delta,
     partial_exp_max_error,
 )
 from unclosed.expansion import compute_expansion
-from unclosed.divergence import b_growth
 
 print("=== factorially scaled delta values approach 1 geometrically ===")
 print(f"{'n':>3} {'scaled value':>24} {'|err|':>12}")
@@ -31,7 +31,7 @@ for k in (10, 20, 40):
 print()
 
 print("=== normalized truncation edge approaches -cosh(2 pi v)/pi ===")
-rows = cosh_limit_check(l_values=(2, 3, 4, 5, 6), v_samples=(0.0, 0.5))
+rows = cosh_limit_check()  # l = 2..5, v = 0, 0.5 and 1
 print(f"{'l':>3} {'v':>5} {'normalized value':>24} {'target':>12} {'abs err':>12}")
 for r in rows:
     print(f"{r.level:>3} {r.v:>5} {r.ratio_re:>17.6f}{r.ratio_im:+.4f}i {r.target:>12.6f} {r.abs_err:>12.4g}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 import mpmath as mp
@@ -161,17 +162,7 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
             "b_roots": [repr(x) for x in result.growth],
             "tail_increasing": section.tail_increasing,
             "ratio_cross_index": section.ratio_cross_index,
-            "cosh_rows": [
-                {
-                    "level": r.level,
-                    "v": r.v,
-                    "ratio_re": r.ratio_re,
-                    "ratio_im": r.ratio_im,
-                    "target": r.target,
-                    "abs_err": r.abs_err,
-                }
-                for r in divergence.cosh_limit_check()
-            ],
+            "cosh_rows": [asdict(r) for r in divergence.cosh_limit_check()],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:

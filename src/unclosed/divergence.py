@@ -10,9 +10,10 @@ Three mechanisms are measured:
   their largest error on a grid of [-2, 2] is summed exactly on Python
   ints from the 40-digit weights and rounded once;
 * the roots |b_j|**(1/j) of the expansion coefficients, which keep
-  increasing instead of stabilizing.
+  increasing instead of stabilizing; `b_growth` decides this, and the
+  ratio test, by exact comparisons of the rational squares b_j**2.
 
-Everything here is a numerical witness, not a proof.
+Everything here is a witness at finite order, not a proof.
 """
 
 from __future__ import annotations
@@ -155,35 +156,31 @@ class CoshRow:
     abs_err: float
 
 
-def cosh_limit_check(
-    l_values: Sequence[int] = (2, 3, 4, 5),
-    v_samples: Sequence[float] = (0.0, 0.5, 1.0),
-) -> Tuple[CoshRow, ...]:
+def cosh_limit_check() -> Tuple[CoshRow, ...]:
     """Normalized truncation-edge behaviour of the exponent series, at 60 digits.
 
     With s = 2 pi log(phi) alpha and alpha = 1/4, the sum truncated at index
     4l+1 and divided by (4l)! * alpha**(4l+1) approaches -cosh(2 pi v)/pi as
     l grows: the last summand dominates once 4l is an appreciable multiple
     of 1/alpha, and its even part is a symmetrized partial exponential.
-    Rows report the complex normalized value against that target.
+    Rows report the complex normalized value against that target, for
+    l = 2..5 and v = 0, 0.5 and 1.
     """
     rows = []
     with mp.workdps(70):
         a = mp.mpf("0.25")
         logphi = mp.log(mp.phi)
         s = 2 * mp.pi * logphi * a
-        for lv in l_values:
-            if lv < 1:
-                raise ValueError("l values must be >= 1")
+        for lv in (2, 3, 4, 5):
             N = 4 * lv + 1
             norm = mp.factorial(4 * lv) * a ** (4 * lv + 1)
-            for v in v_samples:
+            for v in (0.0, 0.5, 1.0):
                 val = exponent_sum(N, s, v) / norm
                 target = -mp.cosh(2 * mp.pi * v) / mp.pi
                 rows.append(
                     CoshRow(
                         level=lv,
-                        v=float(v),
+                        v=v,
                         ratio_re=float(mp.re(val)),
                         ratio_im=float(mp.im(val)),
                         target=float(target),
@@ -207,18 +204,21 @@ class GrowthSection:
 
 
 def b_growth(result: ExpansionResult) -> GrowthSection:
-    """Growth witnesses from an exact expansion (needs max_order >= 6)."""
-    if result.max_order < 6:
-        raise ValueError("growth statistics need max_order >= 6")
-    tail = result.growth[-4:]
-    increasing = all(a < b for a, b in zip(tail, tail[1:]))
-    with mp.workdps(40):
-        mags = [abs(x.embed(40)) for x in result.b]
-        ratios = [mags[j + 1] / mags[j] for j in range(1, result.max_order)]
-    cross = None
-    for idx in range(len(ratios)):
-        if all(r > 1 for r in ratios[idx:]):
-            cross = idx + 1  # ratios[idx] compares b_{idx+2} with b_{idx+1}
-            break
-    return GrowthSection(tail_increasing=increasing, ratio_cross_index=cross)
+    """Growth witnesses from an exact expansion of order J >= 6, decided on rationals.
 
+    `series.to_field` puts each b_j on the line sqrt5**j Q, so one of its
+    coordinates p, q is zero and b_j**2 = p**2 + 5 q**2 is rational.  Then
+    |b_j|**(1/j) < |b_{j+1}|**(1/(j+1)) exactly when b_j**(2(j+1)) <
+    b_{j+1}**(2j), and |b_{j+1}/b_j| > 1 exactly when b_{j+1}**2 > b_j**2.
+    """
+    J = len(result.b) - 1
+    if J < 6:
+        raise ValueError("growth statistics need an expansion of order >= 6")
+    sq = [x.p ** 2 + 5 * x.q ** 2 for x in result.b]
+    increasing = all(sq[j] ** (j + 1) < sq[j + 1] ** j for j in range(J - 3, J))
+    cross = None  # the longest tail j..J-1 of ratios above 1
+    for j in range(J - 1, 0, -1):
+        if sq[j + 1] <= sq[j]:
+            break
+        cross = j
+    return GrowthSection(tail_increasing=increasing, ratio_cross_index=cross)

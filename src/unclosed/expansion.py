@@ -37,9 +37,8 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """Exact b_j / c_j lists with their growth roots."""
+    """Exact b_j / c_j lists with their growth roots; the order J is len(c)."""
 
-    max_order: int
     b: Tuple[FieldElem, ...]  # b_0 .. b_J
     c: Tuple[FieldElem, ...]  # c_1 .. c_J
     growth: Tuple[float, ...]  # |b_j|**(1/j) for j = 1 .. J
@@ -54,7 +53,7 @@ def _build(max_order: int):
     global _prefix
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if _prefix is None or _prefix[1].max_order < max_order:
+    if _prefix is None or len(_prefix[1].c) < max_order:
         total = exp_series(exponent_series(2 * max_order))
         for m in range(1, len(total), 2):
             if gaussian_integrate(total[m]):
@@ -68,7 +67,7 @@ def _build(max_order: int):
             growth = tuple(
                 float(abs(b[j].embed(30)) ** (mp.mpf(1) / j)) for j in range(1, max_order + 1)
             )
-        _prefix = (total, ExpansionResult(max_order, tuple(b), tuple(c), growth))
+        _prefix = (total, ExpansionResult(tuple(b), tuple(c), growth))
     return _prefix
 
 
@@ -85,7 +84,6 @@ def compute_expansion(max_order: int) -> ExpansionResult:
     """Exact expansion through order `max_order`."""
     full = _build(max_order)[1]
     return ExpansionResult(
-        max_order=max_order,
         b=full.b[: max_order + 1],
         c=full.c[:max_order],
         growth=full.growth[:max_order],
@@ -107,7 +105,7 @@ def render_expansion(result: ExpansionResult, fmt: str, precision: int) -> str:
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "max_order": result.max_order,
+            "max_order": len(result.c),
             "precision": precision,
             "b": [_json_row(*row) for row in b],
             "c": [_json_row(*row) for row in c],

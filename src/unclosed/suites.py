@@ -8,13 +8,14 @@ that builds a `SuiteResult`, which carries the suite's tag.  The CLI
 `verify`/`report` subcommands and tests/test_acceptance.py both dispatch
 through it, so a criterion passes on the command line exactly when it
 passes under pytest.  Every comparison of F(e^-s) with the expansion comes
-from `qseries.eval_report`, at its digits.
+from `qseries.eval_report`, at its digits.  The exact criteria (AC-1, AC-2,
+AC-3 and AC-10) compare exact values by equality, with no tolerance.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
@@ -127,43 +128,37 @@ def suite_partial_exp() -> Check:
     return e40 < e10 and e40 < 1e-5, [{"err_k10": e10, "err_k40": e40}]
 
 
-def _ungraded_mean(p: VPoly, j: int, digits: int) -> mp.mpc:
-    """Coefficient of s**j from the t'**(2j) coefficient p(w'), in complex floats.
+def _ungraded_mean(p: VPoly) -> Tuple[Fraction, Fraction]:
+    """Real and imaginary parts of the mean of p(w') over standard Gaussian v, exactly.
 
-    Undoes both rescalings of `unclosed.series` independently of its moment
-    table and of `series.to_field`: the w'**k coefficient is scaled by i**k
-    (w' = i*v) and weighted by (k-1)!!, which is E[v**k] for even k, and the
-    mean is scaled by sqrt5**j (t'**(2j) = sqrt5**j * s**j).  Odd k only
-    feed the imaginary part, where their nonzero weight exposes an odd
-    w'-power that the grading should have kept off an even t'-power.
+    Undoes the w'-rescaling of `unclosed.series` independently of its moment
+    table: the w'**k coefficient is scaled by i**k (w' = i*v) and weighted by
+    (k-1)!!, which is E[v**k] for even k.  Even k feed the real part and odd
+    k the imaginary part, where their nonzero weight exposes an odd w'-power
+    that the grading should have kept off an even t'-power.
     """
-    with mp.workdps(digits):
-        unit = mp.mpc(0, 1)
-        total = mp.mpc(0)
-        weight = [mp.mpf(1), mp.mpf(1)]  # (k-1)!! for k = 0, 1
-        for k, c in enumerate(p.coeffs):
-            if k >= 2:
-                weight.append(weight[k - 2] * (k - 1))
-            if c:
-                total += mp.mpf(c.numerator) / c.denominator * unit ** k * weight[k]
-        return total * mp.sqrt(5) ** j
+    parts = [0, 0]  # numerators of the real and imaginary parts, over p.d
+    weight = [1, 1]  # (k-1)!! for k = 0, 1
+    for k, c in enumerate(p.P):
+        if k >= 2:
+            weight.append(weight[k - 2] * (k - 1))
+        parts[k % 2] += c * weight[k] * (-1) ** (k // 2)
+    return Fraction(parts[0], p.d), Fraction(parts[1], p.d)
 
 
 def suite_parity() -> Check:
-    # the t'**24 sum cancels terms up to 8e13 down to b_12 / 5**6 ~ 5.6e-5,
-    # so 80 working digits keep the 1e-50 tolerance about 13 digits clear
-    digits = 80
-    tol = mp.mpf("1e-50")
     result = compute_expansion(DIVERGENCE_ORDER)
     series = assembled_series(DIVERGENCE_ORDER)
     # odd t'-powers carry only odd w'-powers, whose Gaussian means vanish; their
     # means alone pass by construction, as expansion._build rejects the rest
     odd_ok = not any(any(p.P[::2]) for p in series[1::2])
-    means = [_ungraded_mean(p, j, digits) for j, p in enumerate(series[::2])]
-    exact = [bj.embed(digits) for bj in result.b]
-    with mp.workdps(digits):
-        real_ok = all(abs(x.imag) < tol for x in means)
-        subfield_ok = all(abs(x.real - y) < tol * (1 + abs(y)) for x, y in zip(means, exact))
+    means = [_ungraded_mean(p) for p in series[::2]]
+    real_ok = all(im == 0 for _, im in means)
+    # t'**(2j) = sqrt5**j * s**j, lifted apart from series.to_field: sqrt5**j is
+    # 5**(j//2), times sqrt5 at odd j
+    lifted = [FieldElem(0, x * 5 ** (j // 2)) if j % 2 else FieldElem(x * 5 ** (j // 2))
+              for j, (x, _) in enumerate(means)]
+    subfield_ok = lifted == list(result.b)
     details = [{"odd_vanish": odd_ok, "all_real": real_ok, "all_in_sqrt5_field": subfield_ok}]
     return odd_ok and real_ok and subfield_ok, details
 
@@ -174,7 +169,7 @@ def suite_minor_arc() -> Check:
     details = [{"fitted_constant": fitted,
                 "arc_condition_used": "|v| > s**(-2/3)",
                 "arc_condition_alt": "|v| > s**(2/3)"}]
-    details += [{"s": r.s, "v": r.v, "margin": r.margin} for r in rows]
+    details += [asdict(r) for r in rows]
     return fitted <= 10.0, details
 
 

@@ -8,6 +8,7 @@ are pinned inside unclosed.suites.
 
 import dataclasses
 
+import mpmath as mp
 import pytest
 
 from unclosed import expansion, series, suites
@@ -98,6 +99,35 @@ def test_ac09_partial_exponential_limit():
 
 def test_ac10_parity_reality():
     check("AC-10", "parity")
+
+
+def complex_ungraded_mean(p, j):
+    """The former complex-float route to suites._ungraded_mean, times sqrt5**j:
+    each w'**k coefficient scaled by i**k and weighted by (k-1)!!, summed in
+    80-digit complex floats."""
+    with mp.workdps(80):
+        total = mp.mpc(0)
+        weight = [mp.mpf(1), mp.mpf(1)]  # (k-1)!! for k = 0, 1
+        for k, c in enumerate(p.coeffs):
+            if k >= 2:
+                weight.append(weight[k - 2] * (k - 1))
+            if c:
+                total += mp.mpf(c.numerator) / c.denominator * mp.mpc(0, 1) ** k * weight[k]
+        return total * mp.sqrt(5) ** j
+
+
+def test_ac10_exact_means_agree_with_the_complex_float_route():
+    # the t'**24 sum cancels terms up to 8e13 down to b_12 / 5**6 ~ 5.6e-5, so
+    # 80 digits leave about 13 digits of room below 1e-50 here (3.9e-64
+    # measured); at order 24 they reach only 3.3e-44
+    series = suites.assembled_series(suites.DIVERGENCE_ORDER)
+    for j, p in enumerate(series[::2]):
+        re, im = suites._ungraded_mean(p)
+        oracle = complex_ungraded_mean(p, j)
+        with mp.workdps(80):
+            exact = mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                           mp.mpf(im.numerator) / im.denominator) * mp.sqrt(5) ** j
+            assert abs(oracle - exact) <= mp.mpf("1e-50") * abs(exact), j
 
 
 def test_ac10_fails_on_wrong_moment_sign(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,7 @@ from unclosed.divergence import (
     partial_exp_max_error,
 )
 from unclosed.expansion import compute_expansion
+from unclosed.field import FieldElem
 from unclosed.sequences import bernoulli_half, polylog_delta
 
 
@@ -210,7 +212,7 @@ def test_exponent_sum_matches_series_assembly():
 
 
 def test_cosh_limit_trend():
-    rows = cosh_limit_check(l_values=(2, 3, 4, 5), v_samples=(0.0, 0.5, 1.0))
+    rows = cosh_limit_check()  # l = 2..5, v = 0, 0.5 and 1
     by_v = {}
     for r in rows:
         by_v.setdefault(r.v, []).append(r)
@@ -229,8 +231,6 @@ def test_cosh_limit_trend():
 
 def test_cosh_limit_validation():
     with pytest.raises(ValueError):
-        cosh_limit_check(l_values=(0,))
-    with pytest.raises(ValueError):
         exponent_sum(1, "0.1", 0.0)
 
 
@@ -243,6 +243,36 @@ def test_b_growth():
     assert section.ratio_cross_index <= 12
     with pytest.raises(ValueError):
         b_growth(compute_expansion(4))
+
+
+def float_growth(result):
+    """The former float route to b_growth's pair: the 30-digit growth roots
+    and 40-digit magnitudes, with the first j whose ratios all exceed 1."""
+    J = len(result.b) - 1
+    tail = result.growth[-4:]
+    increasing = all(a < b for a, b in zip(tail, tail[1:]))
+    with mp.workdps(40):
+        mags = [abs(x.embed(40)) for x in result.b]
+        ratios = [mags[j + 1] / mags[j] for j in range(1, J)]
+    cross = next((i + 1 for i in range(len(ratios)) if all(r > 1 for r in ratios[i:])), None)
+    return increasing, cross
+
+
+def test_b_growth_agrees_with_the_float_route():
+    for J in range(6, 41):
+        r = compute_expansion(J)
+        section = b_growth(r)
+        assert (section.tail_increasing, section.ratio_cross_index) == float_growth(r), J
+
+
+@pytest.mark.parametrize("J", [12, 24])
+def test_b_growth_fails_on_a_shrunken_last_coefficient(J):
+    # b_J / 100 breaks both the last root step and the last ratio
+    r = compute_expansion(J)
+    last = r.b[-1]
+    shrunk = dataclasses.replace(r, b=r.b[:-1] + (FieldElem(last.p / 100, last.q / 100),))
+    section = b_growth(shrunk)
+    assert (section.tail_increasing, section.ratio_cross_index) == (False, None)
 
 
 def test_growth_report_shape(capsys):

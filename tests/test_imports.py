@@ -39,7 +39,8 @@ parameter of the calling function, unchanged or through `str`, `float` or
 `int`: the caller already holds that value, so the field only repeats it.
 Positional arguments are not matched.  ARGUMENT_FIELDS lists the fields
 that stay, each with the reader that needs the value to travel with the
-result.
+result.  An entry that the guard no longer flags is itself flagged, so the
+list cannot keep a field that is gone.
 
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
 flags any of the process-pool and serialization modules it loads: the
@@ -464,9 +465,6 @@ def test_detects_a_dataclass_field_that_nothing_reads():
 
 # dataclass fields that repeat an argument of their caller on purpose
 ARGUMENT_FIELDS = {
-    # the result goes on to render_expansion and divergence.b_growth, which
-    # take no order of their own
-    "expansion.ExpansionResult.max_order",
     # perfbench/tracing.py's eval hook reads it to check the precision policy
     "qseries.EvalReport.s",
 }
@@ -502,9 +500,35 @@ def argument_fields(package):
     return sorted(flagged)
 
 
+def stale_argument_fields(package, allowed):
+    """Entries of `allowed` that `argument_fields(package)` no longer flags."""
+    return sorted(set(allowed) - set(argument_fields(package)))
+
+
 def test_no_dataclass_field_that_repeats_an_argument():
     repeated = set(argument_fields({p.stem: parse(p) for p in MODULES})) - ARGUMENT_FIELDS
     assert not repeated, f"dataclass fields that repeat an argument: {', '.join(sorted(repeated))}"
+
+
+def test_every_allowed_argument_field_is_still_flagged():
+    # an entry whose field is gone, or no longer repeats an argument, would
+    # let a later field of that name pass unseen
+    stale = stale_argument_fields({p.stem: parse(p) for p in MODULES}, ARGUMENT_FIELDS)
+    assert not stale, f"ARGUMENT_FIELDS entries the guard no longer flags: {', '.join(stale)}"
+
+
+def test_detects_a_stale_argument_field_entry():
+    planted = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    label: str\n"
+        "    size: int\n"
+        "def check(label, rows):\n"
+        "    return Report(label=label, size=len(rows))\n"
+    )
+    allowed = {"m.Report.label", "m.Report.size", "m.Report.order"}
+    assert stale_argument_fields({"m": planted}, allowed) == ["m.Report.order", "m.Report.size"]
 
 
 def test_detects_a_dataclass_field_that_repeats_an_argument():

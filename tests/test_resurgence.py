@@ -1,4 +1,4 @@
-"""Fit-free resurgence: the mirror series predicts the late b_j.
+"""Fit-free resurgence: the mirror series predicts the late b_j and c_j.
 
 The hypotheses are stated, never fitted: the Borel transform of
 R(s) = sum_j b_j s**j has its nearest singularity at A = 2 pi**2/5, with
@@ -19,6 +19,21 @@ relative at j = 20, S = 1/(2 pi) reads 0.5, and dropping the sign (-1)**k
 reads at least 2.5e4 times 2**-j.  A b_35 perturbed by 1e-10 relative reads
 3.3 times 2**-35.  A perturbation of 1e-12 relative reads 0.106 times
 2**-35, inside the band, so no bound per j can see it.
+
+The same holds for the c_j of log R(s) = sum_j c_j s**j, since a mirror
+term e**(-A/s) R(-s) added to R(s) adds e**(-A/s) R(-s)/R(s) to its log, up
+to O(e**(-2A/s)).  With sum_k e_k s**k = R(-s)/R(s), divided as series at
+60 digits from the embedded b_k,
+
+    c_j ~ S sum_{k<=K} e_k Gamma(j - k) A**(k - j),
+
+with the same K rule.  The relative error at j = 20..40 is 0.012 to 0.489
+times 2**-j.  It repeats with period 4 in j: its maxima are 0.037, 0.123,
+0.32 and 0.489 at j = 0, 1, 2 and 3 mod 4.  The bound is 0.6 * 2**-j at
+every j.  The controls break it by far (largest error times 2**j):
+A = pi**2/5 reads 1.2e24, S = 1/(2 pi) reads 5.5e11, R(s) in place of
+R(-s) reads 1.3e10, and c_35 off by 1e-10 relative reads 3.0 at j = 35.
+A perturbation of 1e-12 relative reads 0.37 at j = 35, inside the band.
 """
 
 import mpmath as mp
@@ -35,15 +50,41 @@ def b():
     return [x.embed(DIGITS) for x in compute_expansion(max(J_RANGE)).b]
 
 
-def scaled_errors(b, A, S, sign=-1):
-    """|prediction / b_j - 1| * 2**j for j in J_RANGE, with K = j // 2 - 1."""
+@pytest.fixture(scope="module")
+def c():
+    # c[0] is a placeholder, so that c[j] is c_j
+    return [None] + [x.embed(DIGITS) for x in compute_expansion(max(J_RANGE)).c]
+
+
+def mirror_terms(b, sign=-1):
+    """(sign)**k b_k: the coefficients of R(-s), or of R(s) at sign = 1."""
+    return [sign ** k * x for k, x in enumerate(b)]
+
+
+def series_quotient(num, den):
+    """Coefficients of num(s) / den(s), for den_0 = 1, at DIGITS."""
+    with mp.workdps(DIGITS):
+        out = []
+        for n, x in enumerate(num):
+            out.append(x - mp.fsum(out[k] * den[n - k] for k in range(n)))
+        return out
+
+
+def relation_errors(mirror, target, A, S):
+    """|S sum_{k<=K} mirror[k] Gamma(j - k) A**(k - j) / target[j] - 1| * 2**j
+    for j in J_RANGE, with K = j // 2 - 1."""
     with mp.workdps(DIGITS):
         errors = []
         for j in J_RANGE:
             K = j // 2 - 1
-            terms = (sign ** k * b[k] * mp.gamma(j - k) * A ** (k - j) for k in range(K + 1))
-            errors.append(abs(S * mp.fsum(terms) / b[j] - 1) * 2 ** j)
+            terms = (mirror[k] * mp.gamma(j - k) * A ** (k - j) for k in range(K + 1))
+            errors.append(abs(S * mp.fsum(terms) / target[j] - 1) * 2 ** j)
         return errors
+
+
+def scaled_errors(b, A, S, sign=-1):
+    """The b_j relation's scaled errors, with the mirror coefficients sign**k b_k."""
+    return relation_errors(mirror_terms(b, sign), b, A, S)
 
 
 def hypotheses():
@@ -72,3 +113,28 @@ def test_mirror_relation_fails_on_a_wrong_hypothesis(b, wrong):
             b = list(b)
             b[35] *= 1 + mp.mpf("1e-10")
     assert max(scaled_errors(b, A, S, sign)) > 1
+
+
+def test_mirror_quotient_predicts_the_late_c_j(b, c):
+    A, S = hypotheses()
+    e = series_quotient(mirror_terms(b), b)
+    for j, err in zip(J_RANGE, relation_errors(e, c, A, S)):
+        assert err <= 0.6, (j, float(err))
+
+
+@pytest.mark.parametrize("wrong", ["A-halved", "S-halved", "R(s)-for-R(-s)", "c35-perturbed"])
+def test_c_j_relation_fails_on_a_wrong_hypothesis(b, c, wrong):
+    A, S = hypotheses()
+    sign = -1
+    with mp.workdps(DIGITS):
+        if wrong == "A-halved":  # A = pi**2/5
+            A /= 2
+        elif wrong == "S-halved":  # S = 1/(2 pi)
+            S /= 2
+        elif wrong == "R(s)-for-R(-s)":
+            sign = 1
+        else:  # c_35 off by 1e-10 relative
+            c = list(c)
+            c[35] *= 1 + mp.mpf("1e-10")
+    e = series_quotient(mirror_terms(b, sign), b)
+    assert max(relation_errors(e, c, A, S)) > 1
