@@ -355,12 +355,14 @@ def log_poch_check(
 
     `label` names w: "1/phi" or "-phi", the two golden-ratio arguments.
     The truncation keeps orders k = -1..N of
-    sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!, with every
-    polylog from mpmath: k = -1 gives -Li_2(w)/s and k = 0 gives
-    Li_1(w) * i*v.  Both sides are taken at 50 digits.  log_pochhammer_inf
-    fixes the direct side only up to 2 pi i k, so abs_err is |direct -
-    truncated| after the multiple of 2 pi i nearest to that difference is
-    taken off it.  Expected error decay is s**(N+1) at fixed v.
+    sum_k Li_{1-k}(w) (-s)**k B_{k+1}(1/2 + i*v) / (k+1)!: k = -1 gives
+    -Li_2(w)/s and k = 0 gives Li_1(w) * i*v.  Li_2 comes from its closed
+    forms, pi**2/10 - log(phi)**2 at 1/phi and -pi**2/10 - log(phi)**2 at
+    -phi; the polylogs of order 1 and below come from mpmath.  Both sides
+    are taken at 50 digits.  log_pochhammer_inf fixes the direct side only
+    up to 2 pi i k, so abs_err is |direct - truncated| after the multiple of
+    2 pi i nearest to that difference is taken off it.  Expected error decay
+    is s**(N+1) at fixed v.
     """
     if label not in ("1/phi", "-phi"):
         raise ValueError('label must be "1/phi" or "-phi"')
@@ -371,10 +373,12 @@ def log_poch_check(
     dps = 50
     with mp.workdps(dps + 10):
         wn = mp.phi - 1 if label == "1/phi" else -mp.phi
+        li2 = (mp.pi ** 2 / 10 if label == "1/phi" else -mp.pi ** 2 / 10) - mp.log(mp.phi) ** 2
         # B_{k+1}(1/2 + i*v) does not depend on s
         x = mp.mpc(mp.mpf(1) / 2, v)
         terms = [
-            (k, mp.polylog(1 - k, wn) * mp.bernpoly(k + 1, x) / factorial(k + 1))
+            (k, (li2 if k == -1 else mp.polylog(1 - k, wn)) * mp.bernpoly(k + 1, x)
+             / factorial(k + 1))
             for k in range(-1, N + 1)
         ]
         rows = []

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from unclosed import cli, divergence, qseries, suites
+from unclosed.expansion import compute_expansion, render_expansion
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -200,6 +201,61 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     # the suite's measured wall time, not a default
     line = re.fullmatch(r"FAIL  always-fails: forced  \((\d+\.\d{3}) s\)\n", err)
     assert line and float(line.group(1)) >= 0.02
+
+
+def test_one_parser_build_per_suite_set(capsys, monkeypatch):
+    build = cli.build_parser
+    builds = []
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    for _ in range(3):
+        assert run_cli(capsys, "tables", "--max-n", "2")[0] == 0
+    assert len(builds) == 1
+    with monkeypatch.context() as m:
+        m.setitem(suites.SUITES, "always-passes", ("extra", "forced", lambda: (True, [])))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "always-passes")
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert len(builds) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--suite", "always-passes")
+    assert exc.value.code == 2
+
+
+def test_eval_starts_each_call_with_no_s_values(capsys):
+    # --s appends to its default, which must not keep the last call's values
+    for s in ("0.1", "0.2"):
+        code, out, _ = run_cli(capsys, "eval", "--s", s)
+        assert code == 0
+        assert [row["s"] for row in json.loads(out)["rows"]] == [s]
+
+
+def test_precision_returns_to_its_default_after_an_explicit_one(capsys):
+    assert run_cli(capsys, "coeffs", "--max-order", "2", "--precision", "5")[0] == 0
+    code, out, _ = run_cli(capsys, "coeffs", "--max-order", "2")
+    assert code == 0
+    assert out == render_expansion(compute_expansion(2), "json", 30)
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["coeffs"], ["eval"], ["verify"], ["diverge"], ["report"], ["tables"]]
+)
+def test_help_after_a_cached_call_matches_a_fresh_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "tables", "--max-n", "0")[0] == 0
+    with pytest.raises(SystemExit) as cached_exit:
+        cli.main(argv + ["--help"])
+    cached = capsys.readouterr()
+    with pytest.raises(SystemExit) as fresh_exit:
+        cli.build_parser().parse_args(argv + ["--help"])
+    fresh = capsys.readouterr()
+    assert cached_exit.value.code == fresh_exit.value.code == 0
+    assert cached.out.startswith("usage: unclosed")
+    assert cached == fresh
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))

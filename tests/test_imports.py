@@ -561,18 +561,45 @@ def test_detects_a_dataclass_field_that_repeats_an_argument():
 NOT_AT_IMPORT = ("multiprocessing", "concurrent.futures", "pickle", "subprocess")
 
 
-def loaded_at_import(statements):
-    """The NOT_AT_IMPORT modules a fresh interpreter holds after running `statements`."""
-    script = f"import sys\n{statements}\nprint(*[m for m in {NOT_AT_IMPORT!r} if m in sys.modules])\n"
+def run_fresh(script):
+    """The stdout of `script` run in a fresh interpreter that imports from src/."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout
+
+
+def loaded_at_import(statements):
+    """The NOT_AT_IMPORT modules a fresh interpreter holds after running `statements`."""
+    return run_fresh(
+        f"import sys\n{statements}\nprint(*[m for m in {NOT_AT_IMPORT!r} if m in sys.modules])\n"
+    ).split()
+
+
+def parsers_built(statements):
+    """How many argparse parsers a fresh interpreter builds while running `statements`."""
+    return int(run_fresh(
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted_init\n"
+        f"{statements}\nprint(len(built))\n"
+    ))
 
 
 def test_cli_import_loads_no_process_pool_or_pickle_module():
     loaded = loaded_at_import("import unclosed.cli")
     assert not loaded, f"import unclosed.cli loads {', '.join(loaded)}"
+
+
+def test_cli_import_builds_no_parser():
+    # cli.main builds its parser on the first call, so the build stays out of
+    # the set-up time every process pays
+    assert parsers_built("import unclosed.cli") == 0
+    assert parsers_built("import unclosed.cli\nunclosed.cli.build_parser()") > 0
 
 
 def test_detects_a_module_loaded_at_import():

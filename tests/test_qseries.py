@@ -368,8 +368,8 @@ def test_residual_order_property_through_j3():
 
 
 def test_dilog_closed_forms():
-    # log_poch_check takes Li_2 from mpmath at the two golden-ratio arguments,
-    # where the closed forms give both values and their difference pi^2/5
+    # log_poch_check takes Li_2 at the two golden-ratio arguments from these
+    # closed forms, whose difference is pi^2/5; mp.polylog is the oracle
     with mp.workdps(45):
         phi = (1 + mp.sqrt(5)) / 2
         lp = mp.polylog(2, mp.phi - 1)
