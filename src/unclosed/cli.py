@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
 import mpmath as mp
@@ -172,7 +171,7 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
             "b_roots": [repr(x) for x in result.growth],
             "tail_increasing": section.tail_increasing,
             "ratio_cross_index": section.ratio_cross_index,
-            "cosh_rows": [asdict(r) for r in divergence.cosh_limit_check()],
+            "cosh_rows": [r._asdict() for r in divergence.cosh_limit_check()],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:

@@ -18,10 +18,9 @@ Everything here is a witness at finite order, not a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, log
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -146,8 +145,7 @@ def exponent_sum(N: int, s, v) -> mp.mpc:
         return total
 
 
-@dataclass(frozen=True)
-class CoshRow:
+class CoshRow(NamedTuple):
     level: int  # l; the sum is truncated at index 4l+1
     v: float
     ratio_re: float
@@ -195,8 +193,7 @@ def cosh_limit_check() -> Tuple[CoshRow, ...]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthSection:
+class GrowthSection(NamedTuple):
     """Root statistics of the expansion coefficients."""
 
     tail_increasing: bool  # |b_j|**(1/j) strictly increasing on the last four indices

@@ -20,8 +20,7 @@ of index j reads only b_j.  Repeated runs are bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import mpmath as mp
 
@@ -35,8 +34,7 @@ __all__ = ["ExpansionResult", "compute_expansion", "render_expansion", "assemble
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Exact b_j / c_j lists with their growth roots; the order J is len(c)."""
 
     b: Tuple[FieldElem, ...]  # b_0 .. b_J

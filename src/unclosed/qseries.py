@@ -31,9 +31,8 @@ uses part of its own 24 guard bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, isqrt
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
@@ -186,8 +185,7 @@ def normalized_remainder(s, digits: int) -> mp.mpf:
         return _normalize(value, mp.mpf(s))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Comparison of the direct evaluation against the truncated expansion."""
 
     s: str
@@ -340,8 +338,7 @@ def log_pochhammer_inf(prefactor, q, digits: int) -> mp.mpc:
         return acc - mp.mpc(mp.mpf((sr, -W)), mp.mpf((si, -W)))
 
 
-@dataclass(frozen=True)
-class LogPochRow:
+class LogPochRow(NamedTuple):
     s: str
     direct: mp.mpc
     truncated: mp.mpc
@@ -394,8 +391,7 @@ def log_poch_check(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class MinorArcRow:
+class MinorArcRow(NamedTuple):
     s: str
     v: float
     margin: float
@@ -480,8 +476,7 @@ def _constant_term_coeffs(M: int) -> Tuple[List[int], bool]:
     return [row[2 * t] for t in range(M + 1)], half_ok
 
 
-@dataclass(frozen=True)
-class ConstantTermReport:
+class ConstantTermReport(NamedTuple):
     """Outcome of the exact constant-term identity comparison."""
 
     ok: bool

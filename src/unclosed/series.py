@@ -32,7 +32,8 @@ and its w'**j monomial is pushed down to t'**(2k-j).  `exp_series` is its
 formal exponential, which never reads past the truncation, and
 `log_coefficients` the formal log of a scalar series in s' = t'**2.  Both
 put each step of their coefficient recurrence over one common denominator
-and reduce once per step.
+and reduce once per step; `exponent_series` likewise collects each power of
+t' as integer fractions and sums them once, over their lcm.
 
 Everything here is exact; zero coefficients are detected by exact equality.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .field import FieldElem
 from .sequences import bernoulli_half, polylog_delta
@@ -203,19 +204,27 @@ def exponent_series(trunc_order: int) -> Tuple[VPoly, ...]:
     """
     if trunc_order < 0:
         raise ValueError("trunc_order must be >= 0")
-    rows: List[Dict[int, Fraction]] = [{} for _ in range(trunc_order + 1)]
+    # (j, numerator, denominator) of each w'**j term, per power of t'
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in range(trunc_order + 1)]
     if trunc_order >= 2:
-        rows[2][0] = Fraction(-1, 24)
+        rows[2].append((0, -1, 24))
     for k in range(2, trunc_order + 2):
         ck = _rescaled_delta(k) / factorial(k + 1)
-        for j in range(k + 2):
-            m = 2 * k - j
-            if m > trunc_order:
-                continue
-            bh = comb(k + 1, j) * bernoulli_half(k + 1 - j)
+        for j in range(max(0, 2 * k - trunc_order), k + 2):
+            bh = bernoulli_half(k + 1 - j)
             if bh:
-                rows[m][j] = rows[m].get(j, 0) + ck * bh
-    return tuple(VPoly([row.get(j, 0) for j in range(max(row, default=-1) + 1)]) for row in rows)
+                rows[2 * k - j].append((j, ck.numerator * comb(k + 1, j) * bh.numerator,
+                                        ck.denominator * bh.denominator))
+    return tuple(_combine(row) for row in rows)
+
+
+def _combine(terms: List[Tuple[int, int, int]]) -> VPoly:
+    """The VPoly summing numerator/denominator * w'**j over `terms`, over one lcm."""
+    d = lcm(*(q for _, _, q in terms))
+    P = [0] * (max((j for j, _, _ in terms), default=-1) + 1)
+    for j, p, q in terms:
+        P[j] += p * (d // q)
+    return VPoly._from_ints(P, d)
 
 
 def to_field(x: Fraction, j: int) -> FieldElem:

@@ -15,9 +15,8 @@ AC-3 and AC-10) compare exact values by equality, with no tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import mpmath as mp
 
@@ -34,8 +33,7 @@ DIVERGENCE_ORDER = 12  # expansion order used by the growth/parity criteria
 Check = Tuple[bool, List[dict]]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     tag: str
     criterion: str
@@ -169,7 +167,7 @@ def suite_minor_arc() -> Check:
     details = [{"fitted_constant": fitted,
                 "arc_condition_used": "|v| > s**(-2/3)",
                 "arc_condition_alt": "|v| > s**(2/3)"}]
-    details += [asdict(r) for r in rows]
+    details += [r._asdict() for r in rows]
     return fitted <= 10.0, details
 
 

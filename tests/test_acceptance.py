@@ -6,8 +6,6 @@ captured output on failure) shows the per-criterion verdict.  Tolerances
 are pinned inside unclosed.suites.
 """
 
-import dataclasses
-
 import mpmath as mp
 import pytest
 
@@ -43,7 +41,7 @@ def test_ac01_fails_on_wrong_b1(monkeypatch):
     def off_by_one(order):
         result = good(order)
         b1 = FieldElem(result.b[1].p, result.b[1].q + 1)
-        return dataclasses.replace(result, b=(result.b[0], b1, *result.b[2:]))
+        return result._replace(b=(result.b[0], b1, *result.b[2:]))
 
     monkeypatch.setattr(suites, "compute_expansion", off_by_one)
     result = run_suite("b1")

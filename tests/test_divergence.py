@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -270,7 +269,7 @@ def test_b_growth_fails_on_a_shrunken_last_coefficient(J):
     # b_J / 100 breaks both the last root step and the last ratio
     r = compute_expansion(J)
     last = r.b[-1]
-    shrunk = dataclasses.replace(r, b=r.b[:-1] + (FieldElem(last.p / 100, last.q / 100),))
+    shrunk = r._replace(b=r.b[:-1] + (FieldElem(last.p / 100, last.q / 100),))
     section = b_growth(shrunk)
     assert (section.tail_increasing, section.ratio_cross_index) == (False, None)
 

@@ -137,6 +137,14 @@ def test_determinism():
     assert render_expansion(a, "json", 30) == render_expansion(b, "json", 30)
 
 
+def test_result_takes_no_assignment():
+    # a result is a value: a field cannot be rebound after the build
+    r = compute_expansion(2)
+    with pytest.raises(AttributeError):
+        r.b = ()
+    assert len(r.b) == 3
+
+
 def test_growth_statistics():
     r = compute_expansion(8)
     assert len(r.growth) == 8

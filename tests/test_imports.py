@@ -27,13 +27,19 @@ level (a function, class or assigned name): an entry it imports instead
 would give the name a second import path.  `__init__.py` is the one module
 that gathers names from the others.
 
-The dataclass-field guard flags a field of a `@dataclass` defined in
+A record is a class defined with `@dataclass` or with `NamedTuple` (or
+`typing.NamedTuple`) among its bases; its fields are the annotated names of
+its body.  The package's records are NamedTuples, which keep
+`dataclasses` and `inspect` out of the CLI's start-up; a reintroduced
+dataclass is checked the same way.
+
+The record-field guard flags a field of a record defined in
 `src/unclosed/` that no loaded attribute in `src/`, `demos/` or `tests/`
 reads (`x.field`).  Tests count here: a field that only a test reads may back
 a check against an independent oracle.  A field name read on any object
 counts, so the guard can miss a dead field but does not flag a read one.
 
-The argument-field guard flags a field of a `@dataclass` defined in
+The argument-field guard flags a field of a record defined in
 `src/unclosed/` that a call in `src/unclosed/` fills, by keyword, with a
 parameter of the calling function, unchanged or through `str`, `float` or
 `int`: the caller already holds that value, so the field only repeats it.
@@ -43,9 +49,10 @@ result.  An entry that the guard no longer flags is itself flagged, so the
 list cannot keep a field that is gone.
 
 The import-time guard runs `import unclosed.cli` in a fresh interpreter and
-flags any of the process-pool and serialization modules it loads: the
-package runs in one process and needs none of them, and each would add to
-the CLI's start-up time.
+flags any of the process-pool, serialization and introspection modules it
+loads: the package runs in one process and needs none of them, and each
+would add to the CLI's start-up time (`dataclasses` also pulls in `inspect`,
+`tokenize` and `linecache`).
 
 The knob guard flags a defaulted parameter of a module-level function or a
 method defined in `src/unclosed/` that no call in `src/` or `demos/` passes,
@@ -399,16 +406,20 @@ def test_detects_a_defaulted_parameter_no_caller_sets():
     assert unset_knobs({"cli": ast.parse("def main(argv=None):\n    return argv\n")}, []) == []
 
 
-def is_dataclass(node):
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+def bare_name(node):
+    """The last name of `x` or `a.b.x`, or None for any other expression."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def is_record(node):
+    """Whether the class `node` is a `@dataclass` or a `NamedTuple` subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(bare_name(d) == "dataclass" for d in decorators)
+            or any(bare_name(b) == "NamedTuple" for b in node.bases))
 
 
 def unread_fields(package, others):
-    """'module.Class.field' of each `@dataclass` field in `package` ({module: tree}) that
+    """'module.Class.field' of each record field in `package` ({module: tree}) that
     no loaded attribute in `package` or `others` reads."""
     read = set()
     for tree in [*package.values(), *others]:
@@ -419,7 +430,7 @@ def unread_fields(package, others):
     unread = []
     for module, tree in package.items():
         for node in tree.body:
-            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+            if not (isinstance(node, ast.ClassDef) and is_record(node)):
                 continue
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
@@ -432,13 +443,15 @@ def test_no_dataclass_field_that_nothing_reads():
     unread = unread_fields(
         {p.stem: parse(p) for p in MODULES}, [parse(p) for p in DEMOS + TESTS]
     )
-    assert not unread, f"dataclass fields nothing reads: {', '.join(unread)}"
+    assert not unread, f"record fields nothing reads: {', '.join(unread)}"
 
 
 def test_detects_a_dataclass_field_that_nothing_reads():
     planted = ast.parse(
         "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
         "import dataclasses\n"
+        "import typing\n"
         "@dataclass(frozen=True)\n"
         "class Row:\n"
         "    s: str\n"
@@ -452,18 +465,29 @@ def test_detects_a_dataclass_field_that_nothing_reads():
         "    spare: int = 0\n"
         "class Plain:\n"
         "    unread: int\n"
+        "class Arc(NamedTuple):\n"
+        "    v: float\n"
+        "    unused: float\n"
+        "class Edge(typing.NamedTuple):\n"
+        "    weight: int\n"
+        "class Pair(tuple):\n"
+        "    unread: int\n"
         "def build(rows):\n"
         "    return Report(rows=rows, spare=1)\n"
     )
-    # keyword construction and a stored attribute are not reads
-    test = ast.parse("r = build([])\nr.rows[0].margin\nr.spare = 2\n")
-    assert unread_fields({"m": planted}, [test]) == ["m.Row.unread", "m.Report.spare"]
+    # keyword construction and a stored attribute are not reads; a class whose
+    # base is another tuple type is no record
+    test = ast.parse("r = build([])\nr.rows[0].margin\nr.spare = 2\nArc(v=1.0, unused=0.0).v\n")
+    assert unread_fields({"m": planted}, [test]) == [
+        "m.Row.unread", "m.Report.spare", "m.Arc.unused", "m.Edge.weight"
+    ]
     assert unread_fields({"m": planted}, []) == [
-        "m.Row.margin", "m.Row.unread", "m.Report.rows", "m.Report.spare"
+        "m.Row.margin", "m.Row.unread", "m.Report.rows", "m.Report.spare", "m.Arc.v",
+        "m.Arc.unused", "m.Edge.weight"
     ]
 
 
-# dataclass fields that repeat an argument of their caller on purpose
+# record fields that repeat an argument of their caller on purpose
 ARGUMENT_FIELDS = {
     # perfbench/tracing.py's eval hook reads it to check the precision policy
     "qseries.EvalReport.s",
@@ -471,13 +495,13 @@ ARGUMENT_FIELDS = {
 
 
 def argument_fields(package):
-    """'module.Class.field' of each `@dataclass` field in `package` ({module: tree}) that a
+    """'module.Class.field' of each record field in `package` ({module: tree}) that a
     call in `package` fills by keyword with a parameter of the calling function, unchanged
     or through str, float or int."""
     owner = {
         node.name: module
         for module, tree in package.items() for node in tree.body
-        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        if isinstance(node, ast.ClassDef) and is_record(node)
     }
     flagged = set()
     for tree in package.values():
@@ -507,7 +531,7 @@ def stale_argument_fields(package, allowed):
 
 def test_no_dataclass_field_that_repeats_an_argument():
     repeated = set(argument_fields({p.stem: parse(p) for p in MODULES})) - ARGUMENT_FIELDS
-    assert not repeated, f"dataclass fields that repeat an argument: {', '.join(sorted(repeated))}"
+    assert not repeated, f"record fields that repeat an argument: {', '.join(sorted(repeated))}"
 
 
 def test_every_allowed_argument_field_is_still_flagged():
@@ -520,20 +544,29 @@ def test_every_allowed_argument_field_is_still_flagged():
 def test_detects_a_stale_argument_field_entry():
     planted = ast.parse(
         "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
         "@dataclass(frozen=True)\n"
         "class Report:\n"
         "    label: str\n"
         "    size: int\n"
+        "class Row(NamedTuple):\n"
+        "    s: str\n"
+        "    err: float\n"
         "def check(label, rows):\n"
         "    return Report(label=label, size=len(rows))\n"
+        "def row(s, v):\n"
+        "    return Row(s=str(s), err=abs(v))\n"
     )
-    allowed = {"m.Report.label", "m.Report.size", "m.Report.order"}
-    assert stale_argument_fields({"m": planted}, allowed) == ["m.Report.order", "m.Report.size"]
+    allowed = {"m.Report.label", "m.Report.size", "m.Report.order", "m.Row.s", "m.Row.err"}
+    assert stale_argument_fields({"m": planted}, allowed) == [
+        "m.Report.order", "m.Report.size", "m.Row.err"
+    ]
 
 
 def test_detects_a_dataclass_field_that_repeats_an_argument():
     planted = ast.parse(
         "from dataclasses import dataclass\n"
+        "import typing\n"
         "@dataclass(frozen=True)\n"
         "class Report:\n"
         "    label: str\n"
@@ -544,6 +577,10 @@ def test_detects_a_dataclass_field_that_repeats_an_argument():
         "class Plain:\n"
         "    def __init__(self, label):\n"
         "        self.label = label\n"
+        "class Row(typing.NamedTuple):\n"
+        "    s: str\n"
+        "    digits: int\n"
+        "    err: float\n"
         "def check(label, v, *, order=2):\n"
         "    rows = (v,)\n"
         "    Plain(label=label)\n"
@@ -551,14 +588,19 @@ def test_detects_a_dataclass_field_that_repeats_an_argument():
         "                  size=len(rows))\n"
         "def build(n):\n"
         "    return Report(n, 0, (), 0.0, 0)\n"
+        "def evaluate(s, digits):\n"
+        "    Row(s, digits, 0.0)\n"
+        "    return Row(s=s, digits=digits + 10, err=0.0)\n"
     )
     # a local, an expression of a parameter, a plain class and a positional
     # argument are not matched
-    assert argument_fields({"m": planted}) == ["m.Report.label", "m.Report.order"]
+    assert argument_fields({"m": planted}) == ["m.Report.label", "m.Report.order", "m.Row.s"]
 
 
 # modules that `import unclosed.cli` must not load
-NOT_AT_IMPORT = ("multiprocessing", "concurrent.futures", "pickle", "subprocess")
+NOT_AT_IMPORT = (
+    "multiprocessing", "concurrent.futures", "pickle", "subprocess", "dataclasses", "inspect"
+)
 
 
 def run_fresh(script):
@@ -605,3 +647,5 @@ def test_cli_import_builds_no_parser():
 def test_detects_a_module_loaded_at_import():
     assert loaded_at_import("import unclosed.cli\nimport pickle") == ["pickle"]
     assert loaded_at_import("import concurrent.futures") == ["concurrent.futures"]
+    # dataclasses imports inspect
+    assert loaded_at_import("import dataclasses") == ["dataclasses", "inspect"]
