@@ -12,14 +12,4 @@ Modules:
   cli         batch command-line interface
 """
 
-from .field import FieldElem
-from .expansion import ExpansionResult, compute_expansion, render_expansion
-
-__all__ = [
-    "FieldElem",
-    "ExpansionResult",
-    "compute_expansion",
-    "render_expansion",
-]
-
 __version__ = "0.1.0"

@@ -11,14 +11,12 @@ its handler reads: --precision for coeffs, eval and tables; --format for
 coeffs, eval, diverge and tables; --out for all.
 
 `main` builds one parser per process, on its first call and never at import,
-and reuses it while the suite names it was built with stay the same: the
-`verify --suite` choices are the sorted names of `suites.SUITES`, so adding or
-removing a suite makes the next call build again.  Handlers are bound when the
-parser is built; to change what a subcommand does, patch `suites.SUITES` or
-the layer functions the handlers call, never `cli._cmd_*`.  Parsing one argv
-takes about 0.03 ms with the cached parser, against about 0.7 ms when every
-call built its own, and the first build in a process about 2 ms (best of 10
-batches of 200, 2-vCPU VM, Python 3.11.7).
+and reuses it for every later call.  The `verify --suite` choices are the
+`suites.SUITES` dict itself, read live at each parse and listed in its order,
+so a suite added to or removed from it in place is accepted or rejected on the
+next call; a new dict bound to `suites.SUITES` is not seen.  Handlers are
+bound when the parser is built; to change what a subcommand does, patch
+`suites.SUITES` or the layer functions the handlers call, never `cli._cmd_*`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import mpmath as mp
 
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one named verification suite")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--suite", required=True, choices=sorted(suites.SUITES))
+    p.add_argument("--suite", required=True, choices=suites.SUITES)
     flags(p)
 
     p = sub.add_parser("diverge", help="divergence diagnostics")
@@ -263,16 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per suite set: `verify --suite` takes its choices from
-# suites.SUITES when the parser is built, and a caller may add a suite later
-_PARSERS: Dict[Tuple[str, ...], argparse.ArgumentParser] = {}
+_PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    key = tuple(sorted(suites.SUITES))
-    if key not in _PARSERS:
-        _PARSERS[key] = build_parser()
-    args = _PARSERS[key].parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if "precision" in args and not 1 <= args.precision <= 1000:
             raise ConfigError("--precision must lie in [1, 1000]")

@@ -173,24 +173,24 @@ def suite_minor_arc() -> Check:
 
 SUITES: Dict[str, Tuple[str, str, Callable[[], Check]]] = {
     "b1": ("AC-1", "first-order coefficient equals sqrt5/40 exactly", suite_b1),
-    "e-table": ("AC-2", "delta values at n = 0, 1, 2 are sqrt5, 4, 8*sqrt5 exactly", suite_e_table),
-    "moments": ("AC-3", "Gaussian moments of v**4 and v**6 are 3 and 15 exactly", suite_moments),
-    "scaling": ("AC-4", "residuals scale like s**2 (and s**3 with the next coefficient)",
-                suite_scaling),
     "constant-term": ("AC-5", "constant-term identity matches the direct series through q**20",
                       suite_constant_term),
-    "logpoch": ("AC-6", "truncation error ratio across halved s lies in [4, 16] (target 8)",
-                suite_logpoch),
-    "ebar": ("AC-7", "scaled delta values approach 1: |err(12)| < 1e-3, fitted rate < 1",
-             suite_ebar),
     "divergence": ("AC-8", "|b_j|**(1/j) strictly increases on the last 4 indices; c_2..c_12 nonzero",
                    suite_divergence),
-    "partial-exp": ("AC-9", "partial exponential max error on [-2,2] shrinks k=10 -> 40 and < 1e-5",
-                    suite_partial_exp),
-    "parity": ("AC-10", "odd powers integrate to exactly 0; every b_j is real and in Q(sqrt5)",
-               suite_parity),
+    "e-table": ("AC-2", "delta values at n = 0, 1, 2 are sqrt5, 4, 8*sqrt5 exactly", suite_e_table),
+    "ebar": ("AC-7", "scaled delta values approach 1: |err(12)| < 1e-3, fitted rate < 1",
+             suite_ebar),
+    "logpoch": ("AC-6", "truncation error ratio across halved s lies in [4, 16] (target 8)",
+                suite_logpoch),
     "minor-arc": ("extra", "arc quotient bounded by C * exp(main - sqrt5/(2 s**(1/3))) with C <= 10",
                   suite_minor_arc),
+    "moments": ("AC-3", "Gaussian moments of v**4 and v**6 are 3 and 15 exactly", suite_moments),
+    "parity": ("AC-10", "odd powers integrate to exactly 0; every b_j is real and in Q(sqrt5)",
+               suite_parity),
+    "partial-exp": ("AC-9", "partial exponential max error on [-2,2] shrinks k=10 -> 40 and < 1e-5",
+                    suite_partial_exp),
+    "scaling": ("AC-4", "residuals scale like s**2 (and s**3 with the next coefficient)",
+                suite_scaling),
 }
 
 

@@ -203,7 +203,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert line and float(line.group(1)) >= 0.02
 
 
-def test_one_parser_build_per_suite_set(capsys, monkeypatch):
+def test_one_parser_build_per_process(capsys, monkeypatch):
     build = cli.build_parser
     builds = []
 
@@ -211,19 +211,30 @@ def test_one_parser_build_per_suite_set(capsys, monkeypatch):
         builds.append(1)
         return build()
 
-    monkeypatch.setattr(cli, "_PARSERS", {})
+    monkeypatch.setattr(cli, "_PARSER", None)
     monkeypatch.setattr(cli, "build_parser", counted_build)
     for _ in range(3):
         assert run_cli(capsys, "tables", "--max-n", "2")[0] == 0
-    assert len(builds) == 1
     with monkeypatch.context() as m:
+        # the --suite choices are suites.SUITES itself, so an added suite
+        # needs no new parser
         m.setitem(suites.SUITES, "always-passes", ("extra", "forced", lambda: (True, [])))
         code, out, _ = run_cli(capsys, "verify", "--suite", "always-passes")
         assert code == 0 and json.loads(out)["ok"] is True
-        assert len(builds) == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "always-passes" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "verify", "--suite", "always-passes")
     assert exc.value.code == 2
+    assert len(builds) == 1
+
+
+def test_suites_are_declared_in_sorted_order():
+    # argparse lists the --suite choices in SUITES order, in usage, help and
+    # the invalid-choice error
+    assert list(suites.SUITES) == sorted(suites.SUITES)
 
 
 def test_eval_starts_each_call_with_no_s_values(capsys):
@@ -242,19 +253,24 @@ def test_precision_returns_to_its_default_after_an_explicit_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["coeffs"], ["eval"], ["verify"], ["diverge"], ["report"], ["tables"]]
+    "argv",
+    [["--help"]]
+    + [[cmd, "--help"] for cmd in ("coeffs", "eval", "verify", "diverge", "report", "tables")]
+    + [["verify", "--suite", "nope"]],
 )
 def test_help_after_a_cached_call_matches_a_fresh_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, "tables", "--max-n", "0")[0] == 0
     with pytest.raises(SystemExit) as cached_exit:
-        cli.main(argv + ["--help"])
+        cli.main(argv)
     cached = capsys.readouterr()
     with pytest.raises(SystemExit) as fresh_exit:
-        cli.build_parser().parse_args(argv + ["--help"])
+        cli.build_parser().parse_args(argv)
     fresh = capsys.readouterr()
-    assert cached_exit.value.code == fresh_exit.value.code == 0
-    assert cached.out.startswith("usage: unclosed")
+    # --help prints usage on stdout; a rejected choice prints it on stderr
+    code, text = (0, cached.out) if "--help" in argv else (2, cached.err)
+    assert cached_exit.value.code == fresh_exit.value.code == code
+    assert text.startswith("usage: unclosed")
     assert cached == fresh
 
 

@@ -21,11 +21,10 @@ which fails when `__all__` lists a name the module does not bind.  The
 unused-import and dead-code guards read `__all__` without importing, so a
 stale entry would pass them.
 
-The export-origin guard reads each package module other than `__init__.py`
-and flags an `__all__` entry that the module does not define at its top
-level (a function, class or assigned name): an entry it imports instead
-would give the name a second import path.  `__init__.py` is the one module
-that gathers names from the others.
+The export-origin guard reads each package module and flags an `__all__`
+entry that the module does not define at its top level (a function, class or
+assigned name): an entry it imports instead would give the name a second
+import path.
 
 A record is a class defined with `@dataclass` or with `NamedTuple` (or
 `typing.NamedTuple`) among its bases; its fields are the annotated names of
@@ -345,7 +344,7 @@ def undefined_exports(tree):
 def test_every_all_entry_is_defined_in_its_module():
     stray = [
         f"{p.name}: {name}"
-        for p in MODULES if p.name != "__init__.py"
+        for p in MODULES
         for name in undefined_exports(parse(p))
     ]
     assert not stray, f"__all__ lists names the module does not define: {', '.join(stray)}"

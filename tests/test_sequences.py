@@ -41,7 +41,8 @@ def polylog_neg(n, w):
 
     The closed rational form with Eulerian numerator: Li_0(w) = w/(1-w)
     and Li_{-n}(w) = sum_k A(n,k) w**(k+1) / (1-w)**(n+1).  It is the
-    oracle for polylog_delta and for the mpmath polylogs of log_poch_check.
+    oracle for polylog_delta and for the mpmath polylogs of order 0 and below
+    that log_poch_check takes.
     """
     if n < 0:
         raise ValueError("only non-positive polylog orders are exact here")
@@ -256,8 +257,9 @@ def test_delta_table_caps():
     "w, v, N", [(("1/phi", PHI_INV), 0.0, 4), (("-phi", MINUS_PHI), 0.25, 2)]
 )
 def test_log_poch_truncation_matches_exact_polylog_oracle(w, v, N):
-    # log_poch_check takes every polylog from mpmath; here k >= 1 uses the
-    # exact rational values and k <= 0 Li_2 and Li_1 = -log1p(-w)
+    # log_poch_check takes Li_2 from its closed forms and the lower orders
+    # from mpmath; here k >= 1 uses the exact rational values and k <= 0
+    # mpmath's Li_2 and Li_1 = -log1p(-w)
     label, w = w
     s_grid = ("0.2", "0.1", "0.05")
     rows = log_poch_check(label, v, N, s_grid)
