@@ -77,9 +77,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             raise ConfigError(f"s = {s} outside the supported range [{S_MIN}, 5]")
         parsed.append((float(sv), s))
     parsed.sort()
-    # a repeated --s string is summed once and printed once per occurrence
-    by_s = {s: qseries.eval_report(s, args.order) for s in dict.fromkeys(s for _, s in parsed)}
-    reports = [by_s[s] for _, s in parsed]
+    reports = [qseries.eval_report(s, args.order) for _, s in parsed]
     digits = min(args.precision, 20)
     rows = [
         {

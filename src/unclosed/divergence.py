@@ -19,8 +19,9 @@ Everything here is a witness at finite order, not a proof.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import exp, factorial, log
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -62,10 +63,10 @@ def fit_geometric_rate(ns: Sequence[int], errors: Sequence[float]) -> Tuple[floa
 # partial exponentials with normalized Bernoulli weights
 # ----------------------------------------------------------------------
 
-_weight_cache: List[mp.mpf] = []
 _PARTIAL_EXP_BITS = 24  # guard bits below the 40-digit working precision
 
 
+@cache
 def bernoulli_weight(m: int) -> mp.mpf:
     """Zeta-normalized Bernoulli weight: the Dirichlet eta value eta(m), at 40 digits.
 
@@ -73,6 +74,7 @@ def bernoulli_weight(m: int) -> mp.mpf:
     at odd m both that numerator and denominator vanish, and eta(m) =
     (1 - 2**(1-m)) * zeta(m) extends it.  eta(1) = log 2 and eta(0) = 1/2.
     All values tend to 1 like 2**-m.  mpmath's `altzeta` computes eta.
+    Cached: the precision is fixed here, so the value depends on m alone.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -109,11 +111,9 @@ def partial_exp_max_error(k: int) -> float:
     n = k + 1
     with mp.workdps(40):
         W = mp.mp.prec + _PARTIAL_EXP_BITS
-        while len(_weight_cache) <= n:
-            _weight_cache.append(bernoulli_weight(len(_weight_cache)))
         scale = factorial(n) * 10**n
         coeffs = [  # a_n first, for Horner's rule
-            int(mp.ldexp(_weight_cache[n - j], W)) * (scale // (factorial(j) * 10**j))
+            int(mp.ldexp(bernoulli_weight(n - j), W)) * (scale // (factorial(j) * 10**j))
             for j in range(n, -1, -1)
         ]
         worst = 0
@@ -204,13 +204,16 @@ def b_growth(result: ExpansionResult) -> GrowthSection:
     """Growth witnesses from an exact expansion of order J >= 6, decided on rationals.
 
     `series.to_field` puts each b_j on the line sqrt5**j Q, so one of its
-    coordinates p, q is zero and b_j**2 = p**2 + 5 q**2 is rational.  Then
-    |b_j|**(1/j) < |b_{j+1}|**(1/(j+1)) exactly when b_j**(2(j+1)) <
-    b_{j+1}**(2j), and |b_{j+1}/b_j| > 1 exactly when b_{j+1}**2 > b_j**2.
+    coordinates p, q is zero and b_j**2 = p**2 + 5 q**2 is rational; a b_j
+    off both axes raises ValueError.  Then |b_j|**(1/j) <
+    |b_{j+1}|**(1/(j+1)) exactly when b_j**(2(j+1)) < b_{j+1}**(2j), and
+    |b_{j+1}/b_j| > 1 exactly when b_{j+1}**2 > b_j**2.
     """
     J = len(result.b) - 1
     if J < 6:
         raise ValueError("growth statistics need an expansion of order >= 6")
+    if any(x.p and x.q for x in result.b):
+        raise ValueError("every b_j must lie on Q or on sqrt5 Q")
     sq = [x.p ** 2 + 5 * x.q ** 2 for x in result.b]
     increasing = all(sq[j] ** (j + 1) < sq[j + 1] ** j for j in range(J - 3, J))
     cross = None  # the longest tail j..J-1 of ratios above 1

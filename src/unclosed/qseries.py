@@ -134,9 +134,7 @@ def f_direct(s, digits: int) -> Tuple[mp.mpf, int]:
     """
     with mp.workdps(digits + GUARD_DIGITS):
         smp = mp.mpf(s)
-        if smp <= 0:
-            raise ValueError("s must be positive")
-        need = required_digits(s)
+        need = required_digits(s)  # raises ValueError for s <= 0
         if digits < need:
             raise PrecisionError(f"s={s} needs at least {need} digits, got {digits}")
         prec = mp.mp.prec

@@ -25,14 +25,17 @@ a sum of integers with no rational arithmetic at all.  The tests check it
 against the defining pair of polylogs, each evaluated exactly from its
 rational Eulerian form in sympy's Q(sqrt5).
 
-Bernoulli numbers come from mpmath's exact `bernfrac`.  Tables grow on
-demand and are cached; after construction they are only read, so
-concurrent reads are safe.
+Bernoulli numbers come from mpmath's exact `bernfrac`.  Values that depend
+only on their index are memoized by `functools.cache`, whose `cache_info()`
+counts hits and misses; the Fibonacci numbers and Eulerian rows are growing
+lists, as each entry is built from the one before.  The package runs in one
+thread, so none of these stores is locked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Tuple
 
 import mpmath as mp
@@ -49,9 +52,6 @@ __all__ = [
 
 _fibonacci: list = [0, 1]
 _eulerian_rows: list = [(1,)]
-_bernoulli: list = [Fraction(1)]
-_bernoulli_half: list = []
-_delta_values: list = []
 
 
 def fibonacci(n: int) -> int:
@@ -78,37 +78,28 @@ def eulerian_row(n: int) -> Tuple[int, ...]:
     return _eulerian_rows[n]
 
 
+@cache
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n, from mpmath's exact numerator and denominator."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_bernoulli) <= n:
-        _bernoulli.append(Fraction(*mp.bernfrac(len(_bernoulli))))
-    return _bernoulli[n]
+    return Fraction(*mp.bernfrac(n))
 
 
+@cache
 def bernoulli_half(n: int) -> Fraction:
     """B_n evaluated at 1/2, via B_n(1/2) = (2**(1-n) - 1) * B_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_bernoulli_half) <= n:
-        m = len(_bernoulli_half)
-        _bernoulli_half.append((Fraction(2) ** (1 - m) - 1) * bernoulli_number(m))
-    return _bernoulli_half[n]
+    return bernoulli_number(n) * (Fraction(2) ** (1 - n) - 1)  # raises ValueError for n < 0
 
 
+@cache
 def polylog_delta(n: int) -> FieldElem:
     """Li_{-n}(1/phi) - (-1)**n Li_{-n}(-phi); exact, cached, in Q(sqrt5).
 
     Computed from integer Fibonacci sums over the Eulerian row; see the
     module docstring.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_delta_values) <= n:
-        m = len(_delta_values)
-        row = eulerian_row(m)
-        a = sum(c * fibonacci(m - 2 * k - 2) for k, c in enumerate(row))
-        b = sum(c * fibonacci(m - 2 * k - 1) for k, c in enumerate(row))
-        _delta_values.append(FieldElem(2**m * (2 * a + b) + (m == 0), 2**m * b))
-    return _delta_values[n]
+    row = eulerian_row(n)  # raises ValueError for n < 0
+    a = sum(c * fibonacci(n - 2 * k - 2) for k, c in enumerate(row))
+    b = sum(c * fibonacci(n - 2 * k - 1) for k, c in enumerate(row))
+    return FieldElem(2**n * (2 * a + b) + (n == 0), 2**n * b)

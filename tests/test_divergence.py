@@ -113,9 +113,6 @@ def test_bernoulli_weight_normalization():
             assert abs(bernoulli_weight(k) - 1) <= mp.mpf(2) ** (1 - k)
 
 
-_weight_cache: list = []
-
-
 def partial_exp(k: int, z, dps: int = 40) -> mp.mpf:
     """sum_{j=0}^{k+1} weight(k+1-j) * z**j / j! at dps digits; -> exp(z) as k grows.
 
@@ -126,12 +123,10 @@ def partial_exp(k: int, z, dps: int = 40) -> mp.mpf:
         raise ValueError("k must be >= 0")
     with mp.workdps(dps):
         zv = mp.mpmathify(z)
-        while len(_weight_cache) <= k + 1:
-            _weight_cache.append(bernoulli_weight(len(_weight_cache)))
         total = zv * 0
         term = mp.mpf(1)  # z**j / j!
         for j in range(k + 2):
-            total += _weight_cache[k + 1 - j] * term
+            total += bernoulli_weight(k + 1 - j) * term
             term = term * zv / (j + 1)
         return total
 
@@ -148,6 +143,15 @@ def test_partial_exp_max_error_matches_mpf_oracle(k):
     value = partial_exp_max_error(k)
     assert value == oracle_max_error(k, 40)
     assert value == oracle_max_error(k, 80)
+
+
+def test_partial_exp_weights_are_computed_once():
+    # k = 10 needs eta(0..11) and k = 40 needs eta(0..41): 42 values, 12 reused
+    bernoulli_weight.cache_clear()
+    partial_exp_max_error(10)
+    partial_exp_max_error(40)
+    info = bernoulli_weight.cache_info()
+    assert (info.misses, info.hits) == (42, 12)
 
 
 def test_partial_exp_at_zero_is_weight():
@@ -272,6 +276,14 @@ def test_b_growth_fails_on_a_shrunken_last_coefficient(J):
     shrunk = r._replace(b=r.b[:-1] + (FieldElem(last.p / 100, last.q / 100),))
     section = b_growth(shrunk)
     assert (section.tail_increasing, section.ratio_cross_index) == (False, None)
+
+
+def test_b_growth_rejects_a_coefficient_off_its_line():
+    # sqrt5 - 2 has both coordinates nonzero, so p**2 + 5 q**2 = 9 is not its square
+    r = compute_expansion(8)
+    off = r._replace(b=r.b[:-1] + (FieldElem(-2, 1),))
+    with pytest.raises(ValueError, match="sqrt5"):
+        b_growth(off)
 
 
 def test_growth_report_shape(capsys):

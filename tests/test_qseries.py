@@ -130,7 +130,7 @@ def test_f_direct_frozen_value():
 def test_f_direct_precision_policy_enforced():
     with pytest.raises(PrecisionError):
         f_direct("0.02", 40)  # needs 42 digits
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         f_direct("-0.1", 50)
 
 
@@ -626,6 +626,40 @@ def test_constant_term_series_matches_numeric_f():
         q = mp.mpf("0.1")
         partial = sum(c * q ** t for t, c in enumerate(coeffs))
         assert abs(val - partial) < mp.mpf("1e-15")
+
+
+def euler_product_coeffs(M):
+    # (q;q)_inf through q**M, multiplying in each factor 1 - q**k
+    c = [1] + [0] * M
+    for k in range(1, M + 1):
+        for e in range(M, k - 1, -1):
+            c[e] -= c[e - k]
+    return c
+
+
+def rank1_sum_coeffs(M, exponent):
+    # sum_m q**exponent(m) / (q**2;q**2)_m through q**M, for an increasing exponent
+    total, term = [0] * (M + 1), [1] + [0] * M  # term is 1 / (q**2;q**2)_m
+    m = 0
+    while exponent(m) <= M:
+        for e in range(exponent(m), M + 1):
+            total[e] += term[e - exponent(m)]
+        m += 1
+        for e in range(2 * m, M + 1):  # divide by 1 - q**(2m)
+            term[e] += term[e - 2 * m]
+    return total
+
+
+def test_f_times_euler_product_is_the_rank1_sum():
+    # the triple product turns F's constant-term form into
+    # F(q) (q;q)_inf = sum_m q**(2m**2+m) / (q**2;q**2)_m, checked as integer series
+    M = 200
+    f, euler = qseries._f_series_coeffs(M), euler_product_coeffs(M)
+    lhs = [sum(f[i] * euler[e - i] for i in range(e + 1)) for e in range(M + 1)]
+    assert lhs == rank1_sum_coeffs(M, lambda m: 2 * m * m + m)
+    # negative control: q**(2m**2) adds q**2 / (1 - q**2) at m = 1
+    wrong = rank1_sum_coeffs(M, lambda m: 2 * m * m)
+    assert next(e for e in range(M + 1) if lhs[e] != wrong[e]) == 2
 
 
 def test_log_quotient_decomposition():
