@@ -10,18 +10,19 @@ and choice lives in `build_parser`, and each subcommand takes only the flags
 its handler reads: --precision for coeffs, eval and tables; --format for
 coeffs, eval, diverge and tables; --out for all.
 
-`main` builds one parser per process, on its first call and never at import,
-and reuses it for every later call.  The `verify --suite` choices are the
-`suites.SUITES` dict itself, read live at each parse and listed in its order,
-so a suite added to or removed from it in place is accepted or rejected on the
-next call; a new dict bound to `suites.SUITES` is not seen.  Handlers are
-bound when the parser is built; to change what a subcommand does, patch
+`build_parser` carries `functools.cache`, so `main` builds one parser per
+process, on its first call and never at import.  The `verify --suite` choices
+are the `suites.SUITES` dict itself, read live at each parse and listed in its
+order, so a suite added to or removed from it in place is accepted or rejected
+on the next call; a new dict bound to `suites.SUITES` is not seen.  Handlers
+are bound when the parser is built; to change what a subcommand does, patch
 `suites.SUITES` or the layer functions the handlers call, never `cli._cmd_*`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -208,6 +209,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unclosed",
@@ -259,14 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if "precision" in args and not 1 <= args.precision <= 1000:
             raise ConfigError("--precision must lie in [1, 1000]")

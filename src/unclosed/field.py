@@ -1,21 +1,24 @@
 """Exact values in the real quadratic field Q(sqrt5).
 
-An element p + q*sqrt5 is stored as its two reduced rational coordinates.
 The field hosts the exact values of the package that are not rational:
 the polylog delta values and the expansion coefficients b_j and c_j.
-
 FieldElem is a stored value, not a ring: `unclosed.series` computes over
 Q in rescaled variables, reads the two coordinates of each delta value
 once, and builds a FieldElem only for each final b_j and c_j.  Outputs
 compare, embed and render these values; none adds or multiplies them.
 
-Elements are immutable, so values can be shared freely across threads.
+An element p + q*sqrt5 is a `typing.NamedTuple` (p, q): immutable, hashable
+and shareable across threads.  Coordinates are stored as given, so each is
+an int or a Fraction, as every producer passes (`sequences.polylog_delta`,
+`series.to_field`, the suites' literals); a float is not converted.  It
+unpacks as, and equals, the tuple (p, q): `+`, `*`, `<` and `json.dumps` act
+on the pair, not the number, so compare with `==` and order by `embed()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 import mpmath as mp
 
@@ -24,25 +27,11 @@ __all__ = ["FieldElem"]
 Scalar = Union[int, Fraction]
 
 
-class FieldElem:
+class FieldElem(NamedTuple):
     """One element p + q*sqrt5 of Q(sqrt5), with rational p and q."""
 
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: Scalar, q: Scalar = 0):
-        object.__setattr__(self, "p", Fraction(p))
-        object.__setattr__(self, "q", Fraction(q))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FieldElem is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
+    p: Scalar
+    q: Scalar = 0
 
     def is_zero(self) -> bool:
         return not (self.p or self.q)

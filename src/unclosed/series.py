@@ -42,17 +42,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from .field import FieldElem
+from .field import FieldElem, Scalar
 from .sequences import bernoulli_half, polylog_delta
 
 __all__ = [
     "VPoly", "exp_series", "gaussian_integrate", "exponent_series", "log_coefficients",
     "to_field",
 ]
-
-Scalar = Union[int, Fraction]
 
 
 def _canonical(poly: "VPoly", P: List[int], d: int) -> None:
@@ -184,7 +182,7 @@ def _rescaled_delta(k: int) -> Fraction:
     keep, off = (delta.p, delta.q) if k % 2 == 0 else (delta.q, delta.p)
     if off:
         raise ArithmeticError(f"polylog_delta({k - 1}) is not a rational multiple of sqrt5**{k}")
-    return keep / 5 ** (k // 2)
+    return Fraction(keep, 5 ** (k // 2))
 
 
 def exponent_series(trunc_order: int) -> Tuple[VPoly, ...]:

@@ -200,15 +200,8 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_one_parser_build_per_process(capsys, monkeypatch):
-    build = cli.build_parser
-    builds = []
-
-    def counted_build():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counted_build)
+    # build_parser is a functools.cache, so its misses count the builds
+    cli.build_parser.cache_clear()
     for _ in range(3):
         assert run_cli(capsys, "tables", "--max-n", "2")[0] == 0
     with monkeypatch.context() as m:
@@ -224,7 +217,7 @@ def test_one_parser_build_per_process(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "verify", "--suite", "always-passes")
     assert exc.value.code == 2
-    assert len(builds) == 1
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_suites_are_declared_in_sorted_order():
@@ -261,7 +254,7 @@ def test_help_after_a_cached_call_matches_a_fresh_parser(capsys, monkeypatch, ar
         cli.main(argv)
     cached = capsys.readouterr()
     with pytest.raises(SystemExit) as fresh_exit:
-        cli.build_parser().parse_args(argv)
+        cli.build_parser.__wrapped__().parse_args(argv)
     fresh = capsys.readouterr()
     # --help prints usage on stdout; a rejected choice prints it on stderr
     code, text = (0, cached.out) if "--help" in argv else (2, cached.err)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -273,7 +274,7 @@ def test_b_growth_fails_on_a_shrunken_last_coefficient(J):
     # b_J / 100 breaks both the last root step and the last ratio
     r = compute_expansion(J)
     last = r.b[-1]
-    shrunk = r._replace(b=r.b[:-1] + (FieldElem(last.p / 100, last.q / 100),))
+    shrunk = r._replace(b=r.b[:-1] + (FieldElem(Fraction(last.p, 100), Fraction(last.q, 100)),))
     section = b_growth(shrunk)
     assert (section.tail_increasing, section.ratio_cross_index) == (False, None)
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from unclosed.expansion import compute_expansion
 from unclosed.field import FieldElem
+from unclosed.sequences import polylog_delta
 
 # frozen from integer-sqrt oracle: isqrt(5 * 10**70)
 SQRT5_DIGITS = "2.23606797749978969640917366873127623"
@@ -90,10 +92,30 @@ def test_render():
 def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         SQRT5.q = None
-    # coordinates are coerced to reduced Fractions, so equal values hash alike
-    assert FieldElem(Fraction(2, 4), 1.0) == FieldElem(Fraction(1, 2), 1)
+    # a Fraction is reduced, and an int equals and hashes like the Fraction of
+    # its value, so equal values hash alike
+    assert FieldElem(Fraction(2, 4), Fraction(3, 3)) == FieldElem(Fraction(1, 2), 1)
     assert hash(SQRT5) == hash(FieldElem(Fraction(0), Fraction(3, 3)))
     assert hash(FieldElem(3)) == hash(FieldElem(Fraction(6, 2), 0))
     assert FieldElem(3) != FieldElem(0, 3)
     assert FieldElem(3) != 3
     assert FieldElem(0).is_zero() and not SQRT5.is_zero()
+
+
+def test_field_elem_is_a_record():
+    # a NamedTuple of (p, q): a tuple equal to its pair, copied with one
+    # coordinate changed by _replace, with read-only fields
+    assert isinstance(SQRT5, tuple)
+    assert SQRT5 == (0, 1)
+    assert SQRT5._replace(p=Fraction(1, 2)) == FieldElem(Fraction(1, 2), 1)
+    with pytest.raises(AttributeError):
+        SQRT5.p = 1
+
+
+def test_every_producer_stores_exact_coordinates():
+    # FieldElem stores its coordinates as given, so each producer must pass
+    # an int or a Fraction; a float would embed and render inexactly
+    result = compute_expansion(24)
+    values = [polylog_delta(n) for n in range(65)] + list(result.b) + list(result.c)
+    for x in values:
+        assert {type(x.p), type(x.q)} <= {int, Fraction}, x

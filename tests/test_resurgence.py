@@ -34,6 +34,29 @@ every j.  The controls break it by far (largest error times 2**j):
 A = pi**2/5 reads 1.2e24, S = 1/(2 pi) reads 5.5e11, R(s) in place of
 R(-s) reads 1.3e10, and c_35 off by 1e-10 relative reads 3.0 at j = 35.
 A perturbation of 1e-12 relative reads 0.37 at j = 35, inside the band.
+
+The truncated sum is the start of a dispersion relation, and resumming the
+whole mirror series closes the 2**-j gap.  Let B_m(z) = sum_{k>=1} (-1)**k
+b_k z**(k-1)/(k-1)! be its Borel transform, summed by the diagonal [14/14]
+Pade from b_1..b_29, at 40 digits.  Then
+
+    pred_j = (1/pi) Gamma(j) (A**-j + int_0^14 B_m(z) (A + z)**-j dz)
+
+gives b_j to 1.046 to 1.102 times 4**-j relative at j = 20..30, and
+b_j - pred_j has the sign (-1)**j: the next singularity of the Borel
+transform of R sits at -4A, not at 2A.  The bound is 1.5 times 4**-j.  The
+Pade of the mirror has a pole string from 15.48, next to 4A = 15.79, so the
+Laplace integral cannot run along the whole positive axis.  Of the two ways
+round, summing both lateral paths past 4A and taking their median, or
+stopping below 4A and bounding the rest, this takes the second: it stops at
+z = 14, and the band bounds what is left.  The tail it drops is of order
+Gamma(j) (A + 14)**-j, so the cut must stay above 3A = 11.84: the scaled
+errors read 1.05 to 1.10 at 14, 1.00 to 1.17 at 12, and 5.3 to 51 at 8.
+Whether abs((b_j - pred_j) / (Gamma(j) (4A)**-j / pi)) tends to 1, and
+which series rides at -4A, stay open.  The controls read, at j = 25 and in
+units of 4**-25: 2.1e13 for a Pade built from b_k without the sign, 3.8e22
+for A = pi**2/5, and 1,125 for b_25 off by 1e-12 relative, which the
+truncated sum's band cannot see.
 """
 
 import mpmath as mp
@@ -138,3 +161,66 @@ def test_c_j_relation_fails_on_a_wrong_hypothesis(b, c, wrong):
             c[35] *= 1 + mp.mpf("1e-10")
     e = series_quotient(mirror_terms(b, sign), b)
     assert max(relation_errors(e, c, A, S)) > 1
+
+
+BOREL_DIGITS = 40
+BOREL_RANGE = range(20, 31)
+CUT = 14  # where the Laplace integral stops: above 3A = 11.84, below 4A = 15.79
+
+
+@pytest.fixture(scope="module")
+def b40():
+    return [x.embed(BOREL_DIGITS) for x in compute_expansion(40).b]
+
+
+def borel_pade(b, sign=-1):
+    """(p, q), ascending, of the [14/14] Pade of sum_{k=1..29} sign**k b_k z**(k-1)/(k-1)!."""
+    with mp.workdps(BOREL_DIGITS):
+        mirror = mirror_terms(b, sign)
+        return mp.pade([mirror[k] / mp.factorial(k - 1) for k in range(1, 30)], 14, 14)
+
+
+def resummed_errors(b, A, js, sign=-1):
+    """(b_j - pred_j) / b_j * 4**j for j in js, with the Laplace integral stopped at CUT."""
+    p, q = borel_pade(b, sign)
+    with mp.workdps(BOREL_DIGITS):
+        def borel(z):
+            return mp.polyval(p[::-1], z) / mp.polyval(q[::-1], z)
+
+        errors = []
+        for j in js:
+            laplace = mp.quad(lambda z: borel(z) * (A + z) ** -j, [0, 2, 8, CUT])
+            pred = mp.gamma(j) / mp.pi * (A ** -j + laplace)
+            errors.append((b[j] - pred) / b[j] * 4 ** j)
+        return errors
+
+
+def test_resummed_mirror_predicts_the_late_b_j_to_4_to_the_minus_j(b40):
+    A, _ = hypotheses()
+    for j, err in zip(BOREL_RANGE, resummed_errors(b40, A, BOREL_RANGE)):
+        assert abs(err) <= 1.5, (j, float(err))
+        # b_j > 0, so the error has the sign of b_j - pred_j: the pull of -4A
+        assert mp.sign(err) == (-1) ** j, (j, float(err))
+
+
+def test_no_pade_pole_on_the_laplace_path(b40):
+    # the nearest pole, at 15.48, lies 1.48 past the path [0, CUT]
+    _, q = borel_pade(b40)
+    with mp.workdps(BOREL_DIGITS):
+        poles = mp.polyroots(q[::-1], maxsteps=200, extraprec=100)
+        assert min(abs(x - min(max(mp.re(x), 0), CUT)) for x in poles) > 1
+
+
+@pytest.mark.parametrize("wrong", ["sign-dropped", "A-halved", "b25-perturbed"])
+def test_resummed_relation_fails_on_a_wrong_hypothesis(b40, wrong):
+    A, _ = hypotheses()
+    sign = -1
+    with mp.workdps(BOREL_DIGITS):
+        if wrong == "sign-dropped":  # the Borel transform of R(s), not of R(-s)
+            sign = 1
+        elif wrong == "A-halved":  # A = pi**2/5
+            A /= 2
+        else:  # b_25 off by 1e-12 relative
+            b40 = list(b40)
+            b40[25] *= 1 + mp.mpf("1e-12")
+    assert abs(resummed_errors(b40, A, [25], sign)[0]) > 1.5
